@@ -1,7 +1,7 @@
 """Command-line entry point: validate, analyze, cohort, synth, export-network.
 
-Exit codes: 0 success, 2 input/schema error, 3 statistical precondition
-failure (a pool too small for the requested sample size).
+Exit codes: 0 success, 2 bad input file or flag value, 3 statistical
+precondition failure (a pool too small for the requested sample size).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .ingest import (
 from .netcore import ItemSubset, export_network, pearson_network
 from .permtest import (
     InsufficientPool,
+    InvalidConfig,
     PermutationConfig,
     child_rng,
     compare_to_baseline,
@@ -110,23 +111,26 @@ def histogram_csv(baseline_diffs, context_diffs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table(participant_id: str, feature: str, subset_flag: str, comparison) -> str:
-    name = DISPLAY_NAMES[feature]
+STATS_HEADER = f"{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}"
+
+
+def _stats_row(label: str, comparison) -> str:
+    """label, then baseline and context mean/std, t and significance marker."""
     base, ctx, test = comparison.baseline, comparison.context, comparison.test
-    mark = significance_marker(test.p_value)
-    header1 = f"{'':16s}{'Baseline':22s}{name}"
-    header2 = f"{'':16s}{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}"
-    row = (
-        f"{SUBSET_DISPLAY[subset_flag]:16s}"
-        f"{base.mean:8.2f}{base.std:10.2f}    "
-        f"{ctx.mean:8.2f}{ctx.std:10.2f}{_t_cell(test.t_score):>12s} {mark}"
-    )
+    return (
+        f"{label}{base.mean:8.2f}{base.std:10.2f}    {ctx.mean:8.2f}{ctx.std:10.2f}"
+        f"{_t_cell(test.t_score):>12s} {significance_marker(test.p_value)}"
+    ).rstrip()
+
+
+def render_table(participant_id: str, feature: str, subset_flag: str, comparison) -> str:
+    test = comparison.test
     lines = [
         f"Participant: {participant_id}",
         "",
-        header1,
-        header2,
-        row.rstrip(),
+        f"{'':16s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
+        f"{'':16s}{STATS_HEADER}",
+        _stats_row(f"{SUBSET_DISPLAY[subset_flag]:16s}", comparison),
         "",
         f"p = {format_p(test.p_value)}, df = {test.df}",
         "",
@@ -234,15 +238,7 @@ def analyze_participant(
 
 
 def cmd_validate(args) -> int:
-    try:
-        ds = parse_participant(Path(args.input))
-    except FileNotFoundError:
-        print(f"error: file not found: {args.input}", file=sys.stderr)
-        return EXIT_INPUT
-    except SchemaViolation as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    ds = backfill_emas(ds)
+    ds = backfill_emas(parse_participant(Path(args.input)))
     print(f"Participant {ds.participant_id}: {len(ds.records)} days, {ds.usable_days} with EMA")
     print()
     print(f"{'Context':34s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
@@ -257,29 +253,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        comparison = analyze_participant(
-            Path(args.input),
-            args.context,
-            args.subset,
-            args.seed,
-            args.permutations,
-            args.sample_size,
-            Path(args.out),
-            emit_differences=args.emit_differences,
-            verbose_indices=args.verbose_indices,
-        )
-    except FileNotFoundError:
-        print(f"error: file not found: {args.input}", file=sys.stderr)
-        return EXIT_INPUT
-    except SchemaViolation as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InsufficientPool as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    analyze_participant(
+        Path(args.input),
+        args.context,
+        args.subset,
+        args.seed,
+        args.permutations,
+        args.sample_size,
+        Path(args.out),
+        emit_differences=args.emit_differences,
+        verbose_indices=args.verbose_indices,
+    )
     print((Path(args.out) / "table.txt").read_text(encoding="utf-8"), end="")
-    _ = comparison
     return EXIT_OK
 
 
@@ -307,26 +292,20 @@ def cmd_cohort(args) -> int:
             )
         except SchemaViolation as exc:
             excluded.append((pid, f"schema violation: {exc}"))
-            continue
         except InsufficientPool as exc:
             excluded.append((pid, str(exc)))
-            continue
-        rows.append((pid, comparison))
+        except UnicodeDecodeError as exc:
+            excluded.append((pid, f"not UTF-8 text ({exc.reason})"))
+        except OSError as exc:
+            excluded.append((pid, exc.strerror))
+        else:
+            rows.append((pid, comparison))
     feature = CONTEXT_FLAGS[args.context]
     lines = [
         f"{'':10s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
-        f"{'ID':10s}{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}",
+        f"{'ID':10s}{STATS_HEADER}",
     ]
-    for pid, comp in rows:
-        mark = significance_marker(comp.test.p_value)
-        lines.append(
-            (
-                f"{pid:10s}"
-                f"{comp.baseline.mean:8.2f}{comp.baseline.std:10.2f}    "
-                f"{comp.context.mean:8.2f}{comp.context.std:10.2f}"
-                f"{_t_cell(comp.test.t_score):>12s} {mark}"
-            ).rstrip()
-        )
+    lines += [_stats_row(f"{pid:10s}", comp) for pid, comp in rows]
     lines.append("")
     if excluded:
         lines.append("Excluded participants:")
@@ -369,7 +348,7 @@ def _synth_config_from_args(args) -> SynthConfig:
 def cmd_synth(args) -> int:
     try:
         cfg = _synth_config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid synth config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     ds = generate(cfg)
@@ -379,14 +358,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_network(args) -> int:
-    try:
-        ds = backfill_emas(parse_participant(Path(args.input)))
-    except FileNotFoundError:
-        print(f"error: file not found: {args.input}", file=sys.stderr)
-        return EXIT_INPUT
-    except SchemaViolation as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    ds = backfill_emas(parse_participant(Path(args.input)))
     subset = ItemSubset.from_flag(args.subset)
     ctx = ContextSpec.from_flag(args.context)
     by_date = ds.by_date()
@@ -467,9 +439,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _as_typed(args, filename) -> str:
+    """filename, spelled as on the command line when it is the input path."""
+    given = getattr(args, "input", None)
+    return given if given is not None and str(Path(given)) == filename else filename
+
+
 def main(argv=None) -> int:
+    """Run one command; every bad input ends in a one-line error and exit 2 or 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        print(f"error: file not found: {_as_typed(args, exc.filename)}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {_as_typed(args, exc.filename)}", file=sys.stderr)
+    except SchemaViolation as exc:
+        print(f"schema violation: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: not UTF-8 text ({exc.reason}): {args.input}", file=sys.stderr)
+    except InvalidConfig as exc:
+        print(f"error: invalid permutation config: {exc}", file=sys.stderr)
+    except InsufficientPool as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

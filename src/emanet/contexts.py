@@ -57,14 +57,6 @@ class ContextSpec:
         except KeyError:
             raise ValueError(f"unknown context flag {flag!r}") from None
 
-    def category_of(self, count: int | None) -> str | None:
-        """Category for a daily count; None when the count is missing."""
-        if self.is_baseline:
-            raise ValueError("baseline context has no category predicates")
-        if count is None:
-            return None
-        return "isolation" if count == 0 else "sociability"
-
 
 def all_context_specs() -> tuple:
     """The six non-baseline contexts in feature order."""

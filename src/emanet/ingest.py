@@ -24,8 +24,6 @@ EMA_ITEMS = (
     "seeing",
     "harm",
 )
-POSITIVE_INDICES = (0, 1, 2, 3, 4)
-NEGATIVE_INDICES = (5, 6, 7, 8, 9)
 
 SENSOR_FEATURES = (
     "locations_visited",
@@ -64,12 +62,6 @@ class EmaVector:
         for i, s in enumerate(self.scores):
             if not isinstance(s, int) or not 0 <= s <= 3:
                 raise ValueError(f"score {EMA_ITEMS[i]}={s!r} outside 0..3")
-
-    def positive(self) -> tuple:
-        return self.scores[:5]
-
-    def negative(self) -> tuple:
-        return self.scores[5:]
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,8 @@ def parse_participant(path, participant_id: str | None = None) -> ParticipantDat
     path = pathlib.Path(path)
     if participant_id is None:
         participant_id = path.stem
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig also accepts a file saved with a byte-order mark.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -36,6 +36,10 @@ class InsufficientPool(ValueError):
         super().__init__(f"{category} pool has {have} days, need {need}")
 
 
+class InvalidConfig(ValueError):
+    """A PermutationConfig value is out of range."""
+
+
 class ConfigMismatch(ValueError):
     """Two runs were produced under incompatible configurations."""
 
@@ -48,10 +52,12 @@ class PermutationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
+        if self.n_permutations < 2:
+            raise InvalidConfig("n_permutations must be >= 2")
         if self.sample_size < 2:
-            raise ValueError("sample_size must be >= 2")
+            raise InvalidConfig("sample_size must be >= 2")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,28 @@ def ema_matrix(ds: ParticipantDataset, days, subset: ItemSubset) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), subset.size)
 
 
-def _summary(differences) -> SummaryStats:
-    m = stats.mean(differences)
-    s = stats.sample_std(differences) if len(differences) >= 2 else 0.0
-    return SummaryStats(mean=m, std=s)
+def _run(feature: str, a: np.ndarray, b: np.ndarray, draw, rng, cfg: PermutationConfig, log_indices: bool) -> PermutationRun:
+    """Record connectivity(a[idx_a]) - connectivity(b[idx_b]) per iteration.
+
+    draw(rng) returns one index sample into each of a and b. Samplers sort
+    their samples so the float result depends only on the day set: a sample
+    covering the whole pool is bit-identical every iteration.
+    """
+    differences = []
+    indices_log = [] if log_indices else None
+    for _ in range(cfg.n_permutations):
+        idx_a, idx_b = draw(rng)
+        diff = upper_triangle_sum(correlation_matrix(a[idx_a])) - upper_triangle_sum(correlation_matrix(b[idx_b]))
+        differences.append(diff)
+        if indices_log is not None:
+            indices_log.append((tuple(int(i) for i in idx_a), tuple(int(i) for i in idx_b)))
+    return PermutationRun(
+        feature=feature,
+        config=cfg,
+        differences=tuple(differences),
+        stats=SummaryStats(mean=stats.mean(differences), std=stats.sample_std(differences)),
+        sampled_indices=tuple(indices_log) if indices_log is not None else None,
+    )
 
 
 def run_context_permutation(
@@ -130,26 +154,12 @@ def run_context_permutation(
         raise InsufficientPool("sociability", soc.shape[0], cfg.sample_size)
     if rng is None:
         rng = child_rng(cfg.seed, pools.feature)
-    differences = []
-    indices_log = [] if log_indices else None
-    for _ in range(cfg.n_permutations):
-        # Sorted samples make the float result depend only on the day set, so
-        # a sample covering the whole pool is bit-identical every iteration.
+
+    def draw(rng):
         idx_iso = np.sort(rng.choice(iso.shape[0], size=cfg.sample_size, replace=False))
-        idx_soc = np.sort(rng.choice(soc.shape[0], size=cfg.sample_size, replace=False))
-        diff = upper_triangle_sum(correlation_matrix(iso[idx_iso])) - upper_triangle_sum(
-            correlation_matrix(soc[idx_soc])
-        )
-        differences.append(diff)
-        if indices_log is not None:
-            indices_log.append((tuple(int(i) for i in idx_iso), tuple(int(i) for i in idx_soc)))
-    return PermutationRun(
-        feature=pools.feature,
-        config=cfg,
-        differences=tuple(differences),
-        stats=_summary(differences),
-        sampled_indices=tuple(indices_log) if indices_log is not None else None,
-    )
+        return idx_iso, np.sort(rng.choice(soc.shape[0], size=cfg.sample_size, replace=False))
+
+    return _run(pools.feature, iso, soc, draw, rng, cfg, log_indices)
 
 
 def run_baseline_permutation(
@@ -171,25 +181,12 @@ def run_baseline_permutation(
         raise InsufficientPool("baseline", data.shape[0], need)
     if rng is None:
         rng = child_rng(cfg.seed, BASELINE_STREAM)
-    differences = []
-    indices_log = [] if log_indices else None
-    for _ in range(cfg.n_permutations):
+
+    def draw(rng):
         idx = rng.choice(data.shape[0], size=need, replace=False)
-        first = np.sort(idx[: cfg.sample_size])
-        second = np.sort(idx[cfg.sample_size :])
-        diff = upper_triangle_sum(correlation_matrix(data[first])) - upper_triangle_sum(
-            correlation_matrix(data[second])
-        )
-        differences.append(diff)
-        if indices_log is not None:
-            indices_log.append((tuple(int(i) for i in first), tuple(int(i) for i in second)))
-    return PermutationRun(
-        feature=BASELINE_STREAM,
-        config=cfg,
-        differences=tuple(differences),
-        stats=_summary(differences),
-        sampled_indices=tuple(indices_log) if indices_log is not None else None,
-    )
+        return np.sort(idx[: cfg.sample_size]), np.sort(idx[cfg.sample_size :])
+
+    return _run(BASELINE_STREAM, data, data, draw, rng, cfg, log_indices)
 
 
 def paired_t_test(xs, ys) -> SummaryStats:

@@ -1,11 +1,11 @@
-"""Numerical statistics kernel: compensated moments, Pearson's r, Student-t tails.
+"""Numerical statistics kernel: correctly rounded moments and Student-t tails.
 
 Everything here is pure Python with no external statistics dependency, so the
 scalar results are bit-reproducible across platforms. The t-distribution tail
 is computed through the regularized incomplete beta function, evaluated with
-Lentz's continued fraction (iteration cap 1000, epsilon 1e-15). Summations use
-Neumaier compensation to keep long reductions (thousands of permutation
-differences, large synthetic samples) stable.
+Lentz's continued fraction (iteration cap 1000, epsilon 1e-15). Sums use
+math.fsum, which is correctly rounded, so long reductions (thousands of
+permutation differences) do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -21,59 +21,21 @@ class LengthMismatch(ValueError):
     """Paired inputs have different lengths."""
 
 
-def _neumaier(values) -> float:
-    """Compensated sum over a sequence of floats."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def mean(values) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("mean of an empty sequence")
-    return _neumaier(values) / n
+    return math.fsum(values) / n
 
 
 def sample_std(values) -> float:
-    """Sample standard deviation (n-1 denominator), two-pass compensated."""
+    """Sample standard deviation (n-1 denominator), two-pass, correctly rounded sums."""
     n = len(values)
     if n < 2:
         raise ValueError("sample_std needs at least 2 values")
     m = mean(values)
-    ss = _neumaier([(v - m) ** 2 for v in values])
-    return math.sqrt(max(ss, 0.0) / (n - 1))
-
-
-def pearson_r(x, y) -> float:
-    """Product-moment correlation of two equal-length sequences.
-
-    Returns 0.0 when either input has zero variance (no estimable linear
-    relationship); with 0-3 Likert items and short samples a constant column
-    is a realistic input, not an error.
-    """
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ValueError("pearson_r needs at least 2 paired values")
-    mx = mean(x)
-    my = mean(y)
-    dx = [v - mx for v in x]
-    dy = [v - my for v in y]
-    sxx = _neumaier([d * d for d in dx])
-    syy = _neumaier([d * d for d in dy])
-    if sxx <= 0.0 or syy <= 0.0:
-        return 0.0
-    sxy = _neumaier([a * b for a, b in zip(dx, dy)])
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    ss = math.fsum((v - m) ** 2 for v in values)
+    return math.sqrt(ss / (n - 1))
 
 
 def _betacf(a: float, b: float, x: float) -> float:

@@ -12,20 +12,19 @@ correction.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import (
     EMA_ITEMS,
-    POSITIVE_INDICES,
     DailyRecord,
     EmaVector,
     ParticipantDataset,
     SensorDay,
     SENSOR_FEATURES,
 )
-from .netcore import ALL10, ItemSubset, correlation_matrix, upper_triangle_sum
+from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, correlation_matrix, upper_triangle_sum
 
 # Standard normal quartiles: equiprobable mapping onto {0, 1, 2, 3}.
 DISCRETIZE_THRESHOLDS = (-0.6744897501960817, 0.0, 0.6744897501960817)
@@ -39,11 +38,7 @@ class InvalidConfig(ValueError):
     """Synthetic configuration violates its invariants."""
 
 
-def _identity10() -> tuple:
-    return tuple(tuple(1.0 if i == j else 0.0 for j in range(_N_ITEMS)) for i in range(_N_ITEMS))
-
-
-def correlated_block(r: float, indices=POSITIVE_INDICES) -> tuple:
+def correlated_block(r: float, indices=POSITIVE_ONLY.indices) -> tuple:
     """Identity 10x10 target with correlation r among the given item indices."""
     m = [[1.0 if i == j else 0.0 for j in range(_N_ITEMS)] for i in range(_N_ITEMS)]
     for i in indices:
@@ -60,8 +55,8 @@ class SynthConfig:
     report_cadence: int = 3
     planted_feature: str = "locations_visited"
     context_mix: float = 0.5
-    isolation_corr: tuple = field(default_factory=_identity10)
-    sociability_corr: tuple = field(default_factory=_identity10)
+    isolation_corr: tuple = correlated_block(0.0, ())
+    sociability_corr: tuple = correlated_block(0.0, ())
     isolation_mean: tuple = (0.0,) * _N_ITEMS
     sociability_mean: tuple = (0.0,) * _N_ITEMS
     missing_sensor_rate: float = 0.0
@@ -69,6 +64,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_days < 0:
             raise InvalidConfig("n_days must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if self.report_cadence < 1:
             raise InvalidConfig("report_cadence must be >= 1")
         if self.planted_feature not in SENSOR_FEATURES:

@@ -172,6 +172,83 @@ class TestExportNetwork:
         assert len(net.items) == 10
 
 
+def _not_utf8(src, dst):
+    """Copy src with a Latin-1 byte in its first data row."""
+    header, rest = src.read_bytes().split(b"\n", 1)
+    dst.write_bytes(header + b"\n" + rest.replace(b",", b",\xe9", 1))
+    return dst
+
+
+BAD_INPUTS = [
+    pytest.param(["analyze", "{csv}", "--context", "locations", "--permutations", "0", "--out", "{out}"],
+                 "n_permutations must be >= 2", id="permutations-0"),
+    pytest.param(["analyze", "{csv}", "--context", "locations", "--permutations", "1", "--out", "{out}"],
+                 "n_permutations must be >= 2", id="permutations-1"),
+    pytest.param(["analyze", "{csv}", "--context", "locations", "--sample-size", "1", "--out", "{out}"],
+                 "sample_size must be >= 2", id="sample-size-1"),
+    pytest.param(["analyze", "{csv}", "--context", "locations", "--sample-size", "0", "--out", "{out}"],
+                 "sample_size must be >= 2", id="sample-size-0"),
+    pytest.param(["analyze", "{csv}", "--context", "locations", "--seed", "-1", "--out", "{out}"],
+                 "seed must be >= 0", id="analyze-negative-seed"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--seed", "-1"], "invalid synth config: seed must be >= 0",
+                 id="synth-negative-seed"),
+    pytest.param(["validate", "{latin1}"], "not UTF-8 text", id="validate-non-utf8"),
+    pytest.param(["analyze", "{latin1}", "--context", "locations", "--out", "{out}"],
+                 "not UTF-8 text", id="analyze-non-utf8"),
+    pytest.param(["export-network", "{latin1}", "--context", "locations"], "not UTF-8 text",
+                 id="export-non-utf8"),
+    pytest.param(["validate", "{dir}"], "Is a directory", id="validate-directory"),
+    pytest.param(["export-network", "{dir}", "--context", "locations"], "Is a directory",
+                 id="export-directory"),
+    pytest.param(["validate", "./{dir}/nope.csv"], "file not found: ./", id="validate-missing"),
+    pytest.param(["export-network", "{csv}", "--context", "locations", "--out", "{dir}/no/such/net.dot"],
+                 "file not found: ", id="export-missing-out-dir"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{cfg}"], "invalid synth config: ",
+                 id="synth-unknown-key"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS)
+def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_days": 40, "bogus": 1}), encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    names = {"csv": str(planted_csv), "latin1": str(_not_utf8(planted_csv, tmp_path / "latin1.csv")),
+             "dir": "d", "out": "out", "cfg": "cfg.json"}
+    rc = main([a.format(**names) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_utf8_bom_round_trip(planted_csv, tmp_path, capsys):
+    bom = tmp_path / planted_csv.name
+    bom.write_bytes(b"\xef\xbb\xbf" + planted_csv.read_bytes())
+    assert parse_participant(bom) == parse_participant(planted_csv)
+    assert main(["validate", str(planted_csv)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["validate", str(bom)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cohort_excludes_unreadable_files(planted_csv, tmp_path, capsys):
+    indir = tmp_path / "cohort"
+    indir.mkdir()
+    (indir / "p00.csv").write_bytes(planted_csv.read_bytes())
+    _not_utf8(planted_csv, indir / "p01.csv")
+    (indir / "p02.csv").mkdir()
+    out = tmp_path / "out"
+    assert main(["cohort", str(indir), "--context", "locations", "--permutations", "50", "--out", str(out)]) == 0
+    table = (out / "cohort_table.txt").read_text(encoding="utf-8")
+    rows, _, excluded = table.partition("Excluded participants:")
+    assert "\np00 " in rows and "p01" not in rows and "p02" not in rows
+    assert "  p01: not UTF-8 text" in excluded
+    assert "  p02: Is a directory" in excluded
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestHelpers:
     def test_significance_markers(self):
         assert significance_marker(0.0005) == "*"

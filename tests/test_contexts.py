@@ -103,14 +103,6 @@ def test_baseline_context_has_no_pools():
         categorize(ds, ContextSpec(BASELINE))
 
 
-def test_category_of_predicates_partition_counts():
-    ctx = ContextSpec("sms_sent")
-    assert ctx.category_of(0) == "isolation"
-    for c in (1, 2, 17):
-        assert ctx.category_of(c) == "sociability"
-    assert ctx.category_of(None) is None
-
-
 def test_from_flag():
     assert ContextSpec.from_flag("locations").feature == "locations_visited"
     assert ContextSpec.from_flag("conversations").feature == "conversations_detected"

@@ -12,6 +12,7 @@ from emanet.netcore import ALL10, POSITIVE_ONLY, correlation_matrix, upper_trian
 from emanet.permtest import (
     ConfigMismatch,
     InsufficientPool,
+    InvalidConfig,
     PermutationConfig,
     PermutationRun,
     SummaryStats,
@@ -60,6 +61,9 @@ class TestConfig:
             PermutationConfig(subset=ALL10, n_permutations=0)
         with pytest.raises(ValueError):
             PermutationConfig(subset=ALL10, sample_size=1)
+        # A paired t-test needs two pairs, so one permutation is a config error.
+        with pytest.raises(InvalidConfig, match="n_permutations must be >= 2"):
+            PermutationConfig(subset=ALL10, n_permutations=1)
 
 
 class TestContextRun:

@@ -7,17 +7,6 @@ import pytest
 from emanet import stats
 
 
-def naive_pearson(x, y):
-    # Independent two-pass textbook formula, no shared code with the kernel.
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    return sxy / math.sqrt(sxx * syy)
-
-
 def quad_t_sf(t, df):
     # Two-sided tail by high-precision numerical integration of the t-density.
     mpmath.mp.dps = 30
@@ -28,40 +17,6 @@ def quad_t_sf(t, df):
         return c * (1 + u * u / v) ** (-(v + 1) / 2)
 
     return float(2 * mpmath.quad(pdf, [abs(t), mpmath.inf]))
-
-
-class TestPearson:
-    def test_identical_sequences(self):
-        assert stats.pearson_r([0, 1, 2, 3], [0, 1, 2, 3]) == 1.0
-
-    def test_negated(self):
-        x = [1.0, 2.0, 5.0, 3.0]
-        assert stats.pearson_r(x, [-v for v in x]) == -1.0
-
-    def test_derived_value_against_two_pass_formula(self):
-        x = [1, 2, 3, 4, 5]
-        y = [2, 1, 4, 3, 6]
-        assert stats.pearson_r(x, y) == pytest.approx(naive_pearson(x, y), abs=1e-12)
-
-    def test_zero_variance_returns_zero(self):
-        assert stats.pearson_r([2, 2, 2, 2], [0, 1, 2, 3]) == 0.0
-        assert stats.pearson_r([0, 1, 2, 3], [5, 5, 5, 5]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(stats.LengthMismatch):
-            stats.pearson_r([1, 2], [1, 2, 3])
-
-    def test_affine_invariance_and_sign_flip(self):
-        rng = random.Random(7)
-        x = [rng.uniform(-5, 5) for _ in range(30)]
-        y = [rng.uniform(-5, 5) for _ in range(30)]
-        r = stats.pearson_r(x, y)
-        shifted = stats.pearson_r([v + 100.0 for v in x], y)
-        scaled = stats.pearson_r([3.5 * v for v in x], y)
-        flipped = stats.pearson_r([-2.0 * v for v in x], y)
-        assert shifted == pytest.approx(r, abs=1e-10)
-        assert scaled == pytest.approx(r, abs=1e-12)
-        assert flipped == pytest.approx(-r, abs=1e-12)
 
 
 class TestTSf:
