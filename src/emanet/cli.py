@@ -51,6 +51,10 @@ EXIT_PRECONDITION = 3
 
 P_FLOOR = 1e-300
 
+
+class InvalidFlag(ValueError):
+    """A command-line flag value out of range."""
+
 SUBSET_DISPLAY = {"all": "All EMAs", "positive": "Positive EMAs", "negative": "Negative EMAs"}
 
 TABLE_FOOTER = (
@@ -238,17 +242,20 @@ def analyze_participant(
 
 
 def cmd_validate(args) -> int:
+    if args.min_days < 2:
+        raise InvalidFlag(f"--min-days must be >= 2, got {args.min_days}")
     ds = backfill_emas(parse_participant(Path(args.input)))
+    w = max(len(name) for name in DISPLAY_NAMES.values()) + 2
     print(f"Participant {ds.participant_id}: {len(ds.records)} days, {ds.usable_days} with EMA")
     print()
-    print(f"{'Context':34s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
+    print(f"{'Context':{w}s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
     for ctx in all_context_specs():
         rep = eligibility(ds, ctx, args.min_days)
         verdict = "yes" if rep.eligible else f"no (limiting: {rep.limiting_category})"
-        print(f"{DISPLAY_NAMES[ctx.feature]:34s}{rep.isolation_days:>10d}{rep.sociability_days:>12d}  {verdict}")
+        print(f"{DISPLAY_NAMES[ctx.feature]:{w}s}{rep.isolation_days:>10d}{rep.sociability_days:>12d}  {verdict}")
     n_pool = len(baseline_pool(ds))
     base_ok = "yes" if n_pool >= 2 * args.min_days else "no"
-    print(f"{'Baseline (random unfiltered)':34s}{n_pool:>10d}{'':>12s}  {base_ok} (needs >= {2 * args.min_days})")
+    print(f"{'Baseline (random unfiltered)':{w}s}{n_pool:>10d}{'':>12s}  {base_ok} (needs >= {2 * args.min_days})")
     return EXIT_OK
 
 
@@ -460,6 +467,8 @@ def main(argv=None) -> int:
         print(f"error: not UTF-8 text ({exc.reason}): {args.input}", file=sys.stderr)
     except InvalidConfig as exc:
         print(f"error: invalid permutation config: {exc}", file=sys.stderr)
+    except InvalidFlag as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except InsufficientPool as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

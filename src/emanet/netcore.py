@@ -3,6 +3,12 @@
 Connectivity is the sum of the strictly-upper-triangle entries: every unordered
 item pair counted once, diagonal excluded. Networks can be exported as JSON
 (verbatim matrix) or Graphviz DOT (display-thresholded, signed edge colors).
+
+One kernel computes every network, alone or in a (B, n_days, k) stack of
+integer scores: co-moments n·Σxy − Σx·Σy are exact in int64 (no BLAS, no
+summation order), each r is one correctly rounded division, and connectivity
+adds the pair correlations left to right in np.triu_indices order. So a
+network has the same bits alone, in any batch and on any numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ ITEM_CODES = {
 }
 
 DOT_EDGE_THRESHOLD = 0.1
+
+# Scores with n²·max|x|² up to this keep every int64 co-moment, and its cast
+# to float64, exact.
+MAX_EXACT_MOMENT = 2**52
 
 
 class InsufficientData(ValueError):
@@ -80,45 +90,75 @@ class CorrelationNetwork:
         m.flags.writeable = False
 
 
-def correlation_matrix(data: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix of columns of an (n_days x k) array.
+def _correlations(stack: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrices of each (n_days x k) slice of an integer stack."""
+    if not np.issubdtype(stack.dtype, np.integer):
+        raise ValueError(f"expected integer scores, got dtype {stack.dtype}")
+    n = stack.shape[-2]
+    if n * n * max(int(stack.max()), -int(stack.min())) ** 2 > MAX_EXACT_MOMENT:
+        raise ValueError("scores too large for exact integer moments")
+    x = stack.astype(np.int64, copy=False)
+    sums = x.sum(axis=-2)
+    cm = n * np.matmul(np.swapaxes(x, -1, -2), x) - sums[..., :, None] * sums[..., None, :]
+    return correlation_from_comoments(cm)
+
+
+def correlation_from_comoments(cm: np.ndarray) -> np.ndarray:
+    """Pearson r = cm_ij / sqrt(cm_ii·cm_jj) from (..., k, k) integer co-moments
+    cm = n·Σxy − Σx·Σy.
 
     Zero-variance columns get correlation 0 against everything; the diagonal
     is forced to 1. Entries are clipped to [-1, 1] against rounding.
     """
-    data = np.asarray(data, dtype=float)
+    var = np.diagonal(cm, axis1=-2, axis2=-1).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = cm / np.sqrt(var[..., :, None] * var[..., None, :])
+    zero = var == 0
+    corr[zero[..., :, None] | zero[..., None, :]] = 0.0
+    np.clip(corr, -1.0, 1.0, out=corr)
+    k = corr.shape[-1]
+    corr[..., np.arange(k), np.arange(k)] = 1.0
+    return corr
+
+
+def correlation_matrix(data: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix of columns of an (n_days x k) integer array."""
+    data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError("expected a 2-D array of days x items")
     if data.shape[0] < 2:
         raise InsufficientData(f"need at least 2 days, got {data.shape[0]}")
-    centered = data - data.mean(axis=0)
-    ss = np.einsum("ij,ij->j", centered, centered)
-    zero = np.ptp(data, axis=0) == 0
-    denom = np.sqrt(np.outer(ss, ss))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (centered.T @ centered) / denom
-    corr[zero, :] = 0.0
-    corr[:, zero] = 0.0
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    return _correlations(data[None])[0]
+
+
+def connectivities(stack: np.ndarray) -> np.ndarray:
+    """Connectivity of each network of a (B, n_days, k) integer stack; bit-identical
+    to upper_triangle_sum(correlation_matrix(stack[b]))."""
+    return upper_triangle_sum(_correlations(stack))
 
 
 def pearson_network(days, subset: ItemSubset) -> CorrelationNetwork:
     """Estimate the correlation network of an EMA item subset across days.
 
-    `days` is a sequence of EmaVector (or rows of 10 scores).
+    `days` is a sequence of EmaVector (or rows of 10 integer scores).
     """
     rows = [d.scores if hasattr(d, "scores") else tuple(d) for d in days]
     if len(rows) < 2:
         raise InsufficientData(f"need at least 2 days, got {len(rows)}")
-    data = np.asarray(rows, dtype=float)[:, list(subset.indices)]
+    data = np.asarray(rows)[:, list(subset.indices)]
     return CorrelationNetwork(items=subset.labels, matrix=correlation_matrix(data), n_samples=len(rows))
 
 
-def upper_triangle_sum(matrix: np.ndarray) -> float:
-    """Sum of strictly-upper-triangle entries (each pair once, no diagonal)."""
-    return float(np.triu(matrix, k=1).sum())
+def upper_triangle_sum(matrix: np.ndarray):
+    """Sum of strictly-upper-triangle entries (each pair once, no diagonal) of a
+    matrix or of each matrix in a (..., k, k) stack, added left to right: the
+    same bits alone and in any stack, which numpy's pairwise .sum() is not."""
+    i, j = np.triu_indices(matrix.shape[-1], k=1)
+    pairs = np.asarray(matrix, dtype=float)[..., i, j]
+    total = np.zeros(pairs.shape[:-1])
+    for p in range(pairs.shape[-1]):
+        total += pairs[..., p]
+    return total if total.ndim else float(total)
 
 
 def connectivity(net: CorrelationNetwork) -> float:

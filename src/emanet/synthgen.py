@@ -24,7 +24,7 @@ from .ingest import (
     SensorDay,
     SENSOR_FEATURES,
 )
-from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, correlation_matrix, upper_triangle_sum
+from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, correlation_from_comoments, upper_triangle_sum
 
 # Standard normal quartiles: equiprobable mapping onto {0, 1, 2, 3}.
 DISCRETIZE_THRESHOLDS = (-0.6744897501960817, 0.0, 0.6744897501960817)
@@ -164,7 +164,8 @@ def discretized_correlation(corr: tuple, n_draws: int = 4_000_000, seed: int = 0
     """Large-sample correlation matrix of the discretized latent model.
 
     Accumulates integer cross-moments in chunks: scores are 0-3 so the sums
-    stay exact in int64 and memory stays flat regardless of n_draws.
+    stay exact in int64 and memory stays flat regardless of n_draws. The
+    network kernel's integer-moment step turns them into r.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6F7261636C65]))
     l = _factor(np.asarray(corr, dtype=float))
@@ -178,16 +179,7 @@ def discretized_correlation(corr: tuple, n_draws: int = 4_000_000, seed: int = 0
         cross += x.T @ x
         sums += x.sum(axis=0)
         remaining -= m
-    cov = cross.astype(float) - np.outer(sums, sums).astype(float) / n_draws
-    var = np.diag(cov).copy()
-    zero = var <= 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = cov / np.sqrt(np.outer(var, var))
-    out[zero, :] = 0.0
-    out[:, zero] = 0.0
-    np.clip(out, -1.0, 1.0, out=out)
-    np.fill_diagonal(out, 1.0)
-    return out
+    return correlation_from_comoments(n_draws * cross - np.outer(sums, sums))
 
 
 def ground_truth(

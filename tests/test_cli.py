@@ -31,6 +31,15 @@ class TestValidate:
         assert "Conversations Detected" in out
         assert out.count("\n") >= 8  # header + six contexts + baseline
 
+    def test_count_columns_align(self, planted_csv, capsys):
+        assert main(["validate", str(planted_csv)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[2:]
+        iso_end = header.index("Isolation") + len("Isolation")
+        assert len(rows) == 7  # six contexts + baseline
+        for row in rows:
+            name, count = row[: iso_end - 10], row[iso_end - 10 : iso_end]
+            assert name.endswith(" ") and count.strip().isdigit() and not row[iso_end].isdigit(), row
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         good = parse_participant.__module__  # keep import used
@@ -197,6 +206,8 @@ BAD_INPUTS = [
                  "not UTF-8 text", id="analyze-non-utf8"),
     pytest.param(["export-network", "{latin1}", "--context", "locations"], "not UTF-8 text",
                  id="export-non-utf8"),
+    pytest.param(["validate", "{csv}", "--min-days", "0"], "--min-days must be >= 2", id="validate-min-days-0"),
+    pytest.param(["validate", "{csv}", "--min-days", "-3"], "--min-days must be >= 2", id="validate-min-days-negative"),
     pytest.param(["validate", "{dir}"], "Is a directory", id="validate-directory"),
     pytest.param(["export-network", "{dir}", "--context", "locations"], "Is a directory",
                  id="export-directory"),

@@ -14,13 +14,16 @@ from emanet.netcore import (
     InsufficientData,
     ItemSubset,
     SubsetMismatch,
+    connectivities,
     connectivity,
     connectivity_difference,
+    correlation_matrix,
     export_network,
     network_from_json,
     network_to_dot,
     network_to_json,
     pearson_network,
+    upper_triangle_sum,
 )
 
 
@@ -121,6 +124,65 @@ class TestPearsonNetwork:
         assert np.allclose(net.matrix, net.matrix.T)
         assert np.all(np.diag(net.matrix) == 1.0)
         assert np.all(np.abs(net.matrix) <= 1.0)
+
+
+def python_network(rows):
+    """Pair correlations and connectivity from Python-int moments, math.sqrt
+    and a left-to-right sum, pairs in np.triu_indices order: no numpy, no BLAS."""
+    n, cols = len(rows), list(zip(*rows))
+
+    def comoment(i, j):
+        return n * sum(a * b for a, b in zip(cols[i], cols[j])) - sum(cols[i]) * sum(cols[j])
+
+    pairs, total = {}, 0.0
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        var_i, var_j = comoment(i, i), comoment(j, j)
+        r = 0.0 if var_i == 0 or var_j == 0 else max(-1.0, min(1.0, comoment(i, j) / math.sqrt(var_i * var_j)))
+        pairs[i, j] = r
+        total += r
+    return pairs, total
+
+
+class TestKernel:
+    def test_exactly_equal_to_python_oracle(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n, k, top = rng.randrange(2, 40), rng.choice((2, 5, 10)), rng.choice((1, 3, 3, 1000))
+            stack = []
+            for _ in range(3):
+                rows = [[rng.randint(0, top) for _ in range(k)] for _ in range(n)]
+                for row in rows:  # a column at the scale floor, often constant
+                    row[0] = 0 if rng.random() < 0.9 else row[0]
+                stack.append(rows)
+            batched = connectivities(np.asarray(stack))
+            for rows, conn in zip(stack, batched):
+                pairs, total = python_network(rows)
+                matrix = correlation_matrix(np.asarray(rows))
+                assert all(matrix[i, j] == matrix[j, i] == r for (i, j), r in pairs.items())
+                assert upper_triangle_sum(matrix) == conn == total
+
+    def test_perfect_and_constant_columns_are_exact(self):
+        t = [0, 1, 2, 3, 1, 2, 0]
+        rows = [[v, 3 - v, 2 * v + 1, 2] for v in t]
+        m = correlation_matrix(np.asarray(rows))
+        assert m[0, 1] == m[1, 2] == -1.0
+        assert m[0, 2] == 1.0
+        assert m[0, 3] == m[1, 3] == m[2, 3] == 0.0
+        assert np.all(np.diag(m) == 1.0)
+        assert connectivities(np.asarray([rows]))[0] == -1.0
+
+    def test_non_integer_input_raises(self):
+        floats = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="integer"):
+            correlation_matrix(floats)
+        with pytest.raises(ValueError, match="integer"):
+            connectivities(floats[None])
+        with pytest.raises(ValueError, match="integer"):
+            pearson_network([[0.5] * 10, [1.5] * 10, [2.5] * 10], two_item_subset())
+
+    def test_moments_too_large_raise(self):
+        with pytest.raises(ValueError, match="exact"):
+            correlation_matrix(np.asarray([[0, 1], [1, 0], [2**25, 2]]))
 
 
 def network_with(offdiag, k=10):

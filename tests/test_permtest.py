@@ -29,12 +29,15 @@ from emanet import synthgen
 D0 = dt.date(2023, 1, 1)
 
 
-def dataset_with_pools(n_iso, n_soc, seed=0):
-    """Dataset whose locations_visited splits days into pools of given sizes."""
+def dataset_with_pools(n_iso, n_soc, seed=0, floor_items=()):
+    """Dataset whose locations_visited splits days into pools of given sizes.
+
+    floor_items score 0 on 90% of days, so a sample often holds a constant item.
+    """
     rng = random.Random(seed)
     records = []
     for i in range(n_iso + n_soc):
-        ema = EmaVector(tuple(rng.randrange(4) for _ in range(10)))
+        ema = EmaVector(tuple(0 if j in floor_items and rng.random() < 0.9 else rng.randrange(4) for j in range(10)))
         records.append(
             DailyRecord(
                 date=D0 + dt.timedelta(days=i),
@@ -101,6 +104,43 @@ class TestContextRun:
                 correlation_matrix(soc[list(idx_soc)])
             )
             assert diff == recomputed
+
+    @pytest.mark.parametrize("n_permutations", [63, 64, 65, 130])
+    def test_blocks_match_one_network_at_a_time(self, n_permutations):
+        ds = dataset_with_pools(40, 60, seed=23, floor_items=(1, 9))
+        cfg = PermutationConfig(subset=ALL10, n_permutations=n_permutations, seed=24)
+        pools, pool = pools_for(ds), baseline_pool(ds)
+        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
+        base = run_baseline_permutation(ds, pool, cfg, log_indices=True)
+        iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
+        soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
+        data = ema_matrix(ds, pool, cfg.subset)
+        for run, a, b in ((ctx, iso, soc), (base, data, data)):
+            one_at_a_time = [
+                upper_triangle_sum(correlation_matrix(a[list(ia)])) - upper_triangle_sum(correlation_matrix(b[list(ib)]))
+                for ia, ib in run.sampled_indices
+            ]
+            assert len(run.differences) == n_permutations
+            assert list(run.differences) == one_at_a_time
+
+    def test_sampled_indices_replay_the_sampler(self):
+        ds = dataset_with_pools(40, 50, seed=25)
+        cfg = PermutationConfig(subset=ALL10, n_permutations=130, seed=26)
+        pools = pools_for(ds)
+        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
+        base = run_baseline_permutation(ds, baseline_pool(ds), cfg, log_indices=True)
+        rng = child_rng(cfg.seed, pools.feature)
+        expected = []
+        for _ in range(cfg.n_permutations):
+            iso = np.sort(rng.choice(40, size=25, replace=False))
+            expected.append((tuple(iso.tolist()), tuple(np.sort(rng.choice(50, size=25, replace=False)).tolist())))
+        assert ctx.sampled_indices == tuple(expected)
+        rng = child_rng(cfg.seed, "baseline")
+        expected = []
+        for _ in range(cfg.n_permutations):
+            idx = rng.choice(90, size=50, replace=False)
+            expected.append((tuple(np.sort(idx[:25]).tolist()), tuple(np.sort(idx[25:]).tolist())))
+        assert base.sampled_indices == tuple(expected)
 
     def test_difference_bounds(self):
         ds = dataset_with_pools(40, 40, seed=6)
