@@ -24,15 +24,9 @@ from .contexts import (
     all_context_specs,
     baseline_pool,
     categorize,
-)
-from .ingest import (
-    ParticipantDataset,
-    SchemaViolation,
-    backfill_emas,
     eligibility,
-    parse_participant,
-    write_participant,
 )
+from .ingest import SchemaViolation, backfill_emas, parse_participant, write_participant
 from .netcore import ItemSubset, export_network, pearson_network
 from .permtest import (
     InsufficientPool,
@@ -215,9 +209,8 @@ def analyze_participant(
     emit("baseline.json", _run_json(ds.participant_id, BASELINE, subset_flag, cfg, base_run, None, emit_differences, verbose_indices))
     emit("histogram.csv", histogram_csv(base_run.differences, ctx_run.differences))
     # Presentation networks use ALL days in each category, not 25-day samples.
-    by_date = ds.by_date()
-    for category, days in (("isolation", pools.isolation_days), ("sociability", pools.sociability_days)):
-        net = pearson_network([by_date[d].ema for d in days], subset)
+    for category, rows in (("isolation", pools.isolation_days), ("sociability", pools.sociability_days)):
+        net = pearson_network(ds.ema[rows], subset)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
     emit("table.txt", render_table(ds.participant_id, ctx.feature, subset_flag, comparison))
@@ -246,7 +239,7 @@ def cmd_validate(args) -> int:
         raise InvalidFlag(f"--min-days must be >= 2, got {args.min_days}")
     ds = backfill_emas(parse_participant(Path(args.input)))
     w = max(len(name) for name in DISPLAY_NAMES.values()) + 2
-    print(f"Participant {ds.participant_id}: {len(ds.records)} days, {ds.usable_days} with EMA")
+    print(f"Participant {ds.participant_id}: {len(ds.dates)} days, {ds.usable_days} with EMA")
     print()
     print(f"{'Context':{w}s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
     for ctx in all_context_specs():
@@ -360,7 +353,7 @@ def cmd_synth(args) -> int:
         return EXIT_INPUT
     ds = generate(cfg)
     write_participant(ds, Path(args.out))
-    print(f"wrote {len(ds.records)} days ({ds.usable_days} reported EMAs) to {args.out}")
+    print(f"wrote {len(ds.dates)} days ({ds.usable_days} reported EMAs) to {args.out}")
     return EXIT_OK
 
 
@@ -368,16 +361,15 @@ def cmd_export_network(args) -> int:
     ds = backfill_emas(parse_participant(Path(args.input)))
     subset = ItemSubset.from_flag(args.subset)
     ctx = ContextSpec.from_flag(args.context)
-    by_date = ds.by_date()
     if ctx.is_baseline:
-        days = baseline_pool(ds)
+        rows = baseline_pool(ds)
     else:
         pools = categorize(ds, ctx)
-        days = pools.isolation_days if args.category == "isolation" else pools.sociability_days
-    if len(days) < 2:
-        print(f"error: {args.category} pool has {len(days)} days, need 2", file=sys.stderr)
+        rows = pools.isolation_days if args.category == "isolation" else pools.sociability_days
+    if len(rows) < 2:
+        print(f"error: {args.category} pool has {len(rows)} days, need 2", file=sys.stderr)
         return EXIT_PRECONDITION
-    net = pearson_network([by_date[d].ema for d in days], subset)
+    net = pearson_network(ds.ema[rows], subset)
     text = export_network(net, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -3,12 +3,15 @@
 Each context is a daily sensor count with a zero/nonzero split: a count of 0
 is a period of social isolation, a count of 1 or more a period of sociability.
 The baseline pseudo-context has no predicates and feeds random unfiltered
-sampling.
+sampling. Pools are arrays of row indices into the participant's day table,
+in date order, computed as masks over its EMA sources and sensor counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .ingest import SENSOR_FEATURES, ParticipantDataset
 
@@ -63,12 +66,14 @@ def all_context_specs() -> tuple:
     return tuple(ContextSpec(f) for f in SENSOR_FEATURES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoryPools:
+    """Row indices of the days in each category, and of the days in neither."""
+
     feature: str
-    isolation_days: tuple
-    sociability_days: tuple
-    excluded_days: tuple
+    isolation_days: np.ndarray
+    sociability_days: np.ndarray
+    excluded_days: np.ndarray
 
 
 def categorize(ds: ParticipantDataset, ctx: ContextSpec) -> CategoryPools:
@@ -81,23 +86,48 @@ def categorize(ds: ParticipantDataset, ctx: ContextSpec) -> CategoryPools:
     """
     if ctx.is_baseline:
         raise ValueError("categorize is undefined for the baseline context")
-    isolation, sociability, excluded = [], [], []
-    for r in ds.records:
-        count = r.sensors.count(ctx.feature)
-        if not r.has_ema or count is None:
-            excluded.append(r.date)
-        elif count == 0:
-            isolation.append(r.date)
-        else:
-            sociability.append(r.date)
+    count = ds.sensors[:, SENSOR_FEATURES.index(ctx.feature)]
+    pooled = ds.has_ema & (count >= 0)
     return CategoryPools(
         feature=ctx.feature,
-        isolation_days=tuple(isolation),
-        sociability_days=tuple(sociability),
-        excluded_days=tuple(excluded),
+        isolation_days=np.flatnonzero(pooled & (count == 0)),
+        sociability_days=np.flatnonzero(pooled & (count > 0)),
+        excluded_days=np.flatnonzero(~pooled),
     )
 
 
-def baseline_pool(ds: ParticipantDataset) -> tuple:
-    """All EMA-bearing days, unfiltered by any sensor feature."""
-    return tuple(r.date for r in ds.records if r.has_ema)
+def baseline_pool(ds: ParticipantDataset) -> np.ndarray:
+    """Row indices of all EMA-bearing days, unfiltered by any sensor feature."""
+    return np.flatnonzero(ds.has_ema)
+
+
+@dataclass(frozen=True)
+class EligibilityReport:
+    feature: str
+    isolation_days: int
+    sociability_days: int
+    min_days_per_category: int
+    eligible: bool
+    limiting_category: str | None
+
+
+def eligibility(ds: ParticipantDataset, ctx: ContextSpec, min_days_per_category: int = 25) -> EligibilityReport:
+    """Check whether both category pools of a context have enough EMA days.
+
+    The default threshold matches the 25-day permutation sample size.
+    """
+    pools = categorize(ds, ctx)
+    n_iso = len(pools.isolation_days)
+    n_soc = len(pools.sociability_days)
+    eligible = n_iso >= min_days_per_category and n_soc >= min_days_per_category
+    limiting = None
+    if not eligible:
+        limiting = "isolation" if n_iso <= n_soc else "sociability"
+    return EligibilityReport(
+        feature=ctx.feature,
+        isolation_days=n_iso,
+        sociability_days=n_soc,
+        min_days_per_category=min_days_per_category,
+        eligible=eligible,
+        limiting_category=limiting,
+    )

@@ -1,16 +1,23 @@
 """Participant CSV ingestion, validation, and the 2-day EMA backfill.
 
-One CSV file per participant, one row per day. EMA responses arrive every few
-days but each response also describes the days just before it, so a reported
-EMA is copied back onto up to two preceding days that lack their own report.
-Days left without an EMA after backfill are excluded from all analysis.
+One CSV file per participant, one row per day. A parsed participant is one
+columnar day table (ParticipantDataset): a date, ten EMA scores with the
+code of their source, and six sensor counts per row. EMA responses arrive
+every few days but each response also describes the days just before it, so
+a reported EMA is copied back onto up to two preceding calendar days that lack
+their own report. Days left without an EMA after backfill are excluded from
+all analysis.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, replace
+import pathlib
+import re
+from dataclasses import dataclass
+
+import numpy as np
 
 EMA_ITEMS = (
     "calm",
@@ -34,10 +41,19 @@ SENSOR_FEATURES = (
     "conversations_detected",
 )
 
-CSV_COLUMNS = ("date",) + tuple(f"ema_{item}" for item in EMA_ITEMS) + SENSOR_FEATURES
+EMA_COLUMNS = tuple(f"ema_{item}" for item in EMA_ITEMS)
+CSV_COLUMNS = ("date",) + EMA_COLUMNS + SENSOR_FEATURES
 
 EMA_SOURCES = ("reported", "backfilled-1", "backfilled-2", "none")
+REPORTED = EMA_SOURCES.index("reported")
+NO_EMA = EMA_SOURCES.index("none")
 BACKFILL_WINDOW = 2
+
+# A sensor cell that was not measured; the largest count an int64 cell holds.
+NOT_MEASURED = -1
+MAX_COUNT = 2**63 - 1
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class SchemaViolation(ValueError):
@@ -50,77 +66,63 @@ class SchemaViolation(ValueError):
         super().__init__(f"row {row}, column {column!r}: {reason}")
 
 
-@dataclass(frozen=True)
-class EmaVector:
-    """Ten Likert scores (0-3) in the fixed item order of EMA_ITEMS."""
+@dataclass(frozen=True, eq=False)
+class ParticipantDataset:
+    """One participant's day table: row i holds one day, rows in date order.
 
-    scores: tuple
+    dates: (n,) datetime64[D], strictly increasing.
+    ema: (n, 10) int8 scores 0-3 in EMA_ITEMS order; 0 on rows without an EMA.
+    ema_source: (n,) int8 codes into EMA_SOURCES.
+    sensors: (n, 6) int64 counts in SENSOR_FEATURES order; -1 where not measured.
+    """
 
-    def __post_init__(self):
-        if len(self.scores) != len(EMA_ITEMS):
-            raise ValueError(f"expected {len(EMA_ITEMS)} scores, got {len(self.scores)}")
-        for i, s in enumerate(self.scores):
-            if not isinstance(s, int) or not 0 <= s <= 3:
-                raise ValueError(f"score {EMA_ITEMS[i]}={s!r} outside 0..3")
-
-
-@dataclass(frozen=True)
-class SensorDay:
-    """Daily aggregate counts; None means the feature was not measured that day."""
-
-    locations_visited: int | None = None
-    calls_made: int | None = None
-    calls_received: int | None = None
-    sms_sent: int | None = None
-    sms_received: int | None = None
-    conversations_detected: int | None = None
+    participant_id: str
+    dates: np.ndarray
+    ema: np.ndarray
+    ema_source: np.ndarray
+    sensors: np.ndarray
 
     def __post_init__(self):
-        for feature in SENSOR_FEATURES:
-            v = getattr(self, feature)
-            if v is not None and (not isinstance(v, int) or v < 0):
-                raise ValueError(f"{feature}={v!r} must be a non-negative integer")
-
-    def count(self, feature: str) -> int | None:
-        if feature not in SENSOR_FEATURES:
-            raise KeyError(f"unknown sensor feature {feature!r}")
-        return getattr(self, feature)
-
-
-@dataclass(frozen=True)
-class DailyRecord:
-    date: dt.date
-    sensors: SensorDay
-    ema: EmaVector | None = None
-    ema_source: str = "none"
-
-    def __post_init__(self):
-        if self.ema_source not in EMA_SOURCES:
-            raise ValueError(f"bad ema_source {self.ema_source!r}")
-        if (self.ema is None) != (self.ema_source == "none"):
-            raise ValueError("ema presence inconsistent with ema_source")
+        if np.any(self.dates[1:] <= self.dates[:-1]):
+            raise ValueError("dates must be strictly increasing")
 
     @property
-    def has_ema(self) -> bool:
-        return self.ema is not None
-
-
-@dataclass(frozen=True)
-class ParticipantDataset:
-    participant_id: str
-    records: tuple
-
-    def __post_init__(self):
-        dates = [r.date for r in self.records]
-        if any(b <= a for a, b in zip(dates, dates[1:])):
-            raise ValueError("records must be strictly increasing by date")
+    def has_ema(self) -> np.ndarray:
+        return self.ema_source != NO_EMA
 
     @property
     def usable_days(self) -> int:
-        return sum(1 for r in self.records if r.has_ema)
+        return int(np.count_nonzero(self.has_ema))
 
-    def by_date(self) -> dict:
-        return {r.date: r for r in self.records}
+
+def _rows(fh):
+    """(row number, cells) of each CSV row, the header being row 0.
+
+    A CSV-level error, such as a field over the csv module's size limit or,
+    on Python 3.10, a NUL byte, is a SchemaViolation of the row being read.
+    """
+    reader = csv.reader(fh)
+    rownum = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SchemaViolation(rownum, "row", str(exc)) from None
+        yield rownum, row
+        rownum += 1
+
+
+def _parse_date(raw: str, row: int) -> dt.date:
+    """ASCII YYYY-MM-DD only, as written by write_participant: date.fromisoformat
+    alone accepts more forms on some Python versions than on others."""
+    if _ISO_DATE.fullmatch(raw):
+        try:
+            return dt.date.fromisoformat(raw)
+        except ValueError:
+            pass
+    raise SchemaViolation(row, "date", f"unparseable date: {raw!r}")
 
 
 def _parse_int_cell(raw: str, row: int, column: str) -> int:
@@ -130,80 +132,78 @@ def _parse_int_cell(raw: str, row: int, column: str) -> int:
         raise SchemaViolation(row, column, f"not an integer: {raw!r}") from None
 
 
+def _parse_score(raw: str, row: int, column: str) -> int:
+    v = _parse_int_cell(raw, row, column)
+    if not 0 <= v <= 3:
+        raise SchemaViolation(row, column, f"EMA score {v} outside 0..3")
+    return v
+
+
+def _parse_count(raw: str, row: int, feature: str) -> int:
+    if raw == "":
+        return NOT_MEASURED
+    v = _parse_int_cell(raw, row, feature)
+    if v < 0:
+        raise SchemaViolation(row, feature, f"negative count {v}")
+    if v > MAX_COUNT:
+        raise SchemaViolation(row, feature, f"count {v} above {MAX_COUNT}")
+    return v
+
+
 def parse_participant(path, participant_id: str | None = None) -> ParticipantDataset:
     """Parse one participant CSV into a date-sorted dataset.
 
     Malformed rows raise SchemaViolation with the offending row and column;
     nothing is silently dropped.
     """
-    import pathlib
-
     path = pathlib.Path(path)
     if participant_id is None:
         participant_id = path.stem
     # utf-8-sig also accepts a file saved with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        rows = _rows(fh)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise SchemaViolation(0, "date", "empty file, header required") from None
         if tuple(h.strip() for h in header) != CSV_COLUMNS:
             raise SchemaViolation(0, "header", f"expected columns {','.join(CSV_COLUMNS)}")
-        records = []
+        dates, ema, ema_source, sensors = [], [], [], []
         seen_dates = {}
-        for rownum, row in enumerate(reader, start=1):
+        for rownum, row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(CSV_COLUMNS):
                 raise SchemaViolation(rownum, "row", f"expected {len(CSV_COLUMNS)} cells, got {len(row)}")
-            cells = dict(zip(CSV_COLUMNS, (c.strip() for c in row)))
-            try:
-                date = dt.date.fromisoformat(cells["date"])
-            except ValueError:
-                raise SchemaViolation(rownum, "date", f"unparseable date: {cells['date']!r}") from None
+            cells = [c.strip() for c in row]
+            date = _parse_date(cells[0], rownum)
             if date in seen_dates:
                 raise SchemaViolation(rownum, "date", f"duplicate date {date.isoformat()} (also row {seen_dates[date]})")
             seen_dates[date] = rownum
 
-            ema_cells = [cells[f"ema_{item}"] for item in EMA_ITEMS]
+            ema_cells = cells[1 : 1 + len(EMA_ITEMS)]
             n_present = sum(1 for c in ema_cells if c != "")
             if n_present == 0:
-                ema = None
+                ema.append((0,) * len(EMA_ITEMS))
+                ema_source.append(NO_EMA)
             elif n_present == len(EMA_ITEMS):
-                scores = []
-                for item, raw in zip(EMA_ITEMS, ema_cells):
-                    col = f"ema_{item}"
-                    v = _parse_int_cell(raw, rownum, col)
-                    if not 0 <= v <= 3:
-                        raise SchemaViolation(rownum, col, f"EMA score {v} outside 0..3")
-                    scores.append(v)
-                ema = EmaVector(tuple(scores))
+                ema.append([_parse_score(raw, rownum, col) for col, raw in zip(EMA_COLUMNS, ema_cells)])
+                ema_source.append(REPORTED)
             else:
-                missing = next(f"ema_{item}" for item, c in zip(EMA_ITEMS, ema_cells) if c == "")
+                missing = next(col for col, c in zip(EMA_COLUMNS, ema_cells) if c == "")
                 raise SchemaViolation(rownum, missing, "EMA cells must be all present or all empty per row")
-
-            counts = {}
-            for feature in SENSOR_FEATURES:
-                raw = cells[feature]
-                if raw == "":
-                    counts[feature] = None
-                    continue
-                v = _parse_int_cell(raw, rownum, feature)
-                if v < 0:
-                    raise SchemaViolation(rownum, feature, f"negative count {v}")
-                counts[feature] = v
-
-            records.append(
-                DailyRecord(
-                    date=date,
-                    sensors=SensorDay(**counts),
-                    ema=ema,
-                    ema_source="reported" if ema is not None else "none",
-                )
-            )
-    records.sort(key=lambda r: r.date)
-    return ParticipantDataset(participant_id=participant_id, records=tuple(records))
+            sensors.append([_parse_count(raw, rownum, f) for f, raw in zip(SENSOR_FEATURES, cells[1 + len(EMA_ITEMS) :])])
+            dates.append(date)
+    n = len(dates)
+    dates = np.array(dates, dtype="datetime64[D]")
+    order = np.argsort(dates)
+    return ParticipantDataset(
+        participant_id=participant_id,
+        dates=dates[order],
+        ema=np.array(ema, dtype=np.int8).reshape(n, len(EMA_ITEMS))[order],
+        ema_source=np.array(ema_source, dtype=np.int8)[order],
+        sensors=np.array(sensors, dtype=np.int64).reshape(n, len(SENSOR_FEATURES))[order],
+    )
 
 
 def write_participant(ds: ParticipantDataset, path) -> None:
@@ -213,73 +213,34 @@ def write_participant(ds: ParticipantDataset, path) -> None:
     and are reconstructed by backfill_emas on re-parse, so parse -> write ->
     parse round-trips exactly.
     """
+    no_ema = [""] * len(EMA_ITEMS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in ds.records:
-            ema_cells = [""] * len(EMA_ITEMS)
-            if r.ema_source == "reported":
-                ema_cells = [str(s) for s in r.ema.scores]
-            sensor_cells = [
-                "" if r.sensors.count(f) is None else str(r.sensors.count(f))
-                for f in SENSOR_FEATURES
-            ]
-            writer.writerow([r.date.isoformat()] + ema_cells + sensor_cells)
+        for date, scores, source, counts in zip(
+            ds.dates.tolist(), ds.ema.tolist(), ds.ema_source.tolist(), ds.sensors.tolist()
+        ):
+            ema_cells = scores if source == REPORTED else no_ema
+            writer.writerow([date.isoformat()] + ema_cells + ["" if c == NOT_MEASURED else c for c in counts])
 
 
 def backfill_emas(ds: ParticipantDataset) -> ParticipantDataset:
     """Copy each reported EMA onto up to two preceding report-free days.
 
     A day lacking its own report takes the nearest later report within the
-    2-day window (d+1 beats d+2). Days with no report within the window keep
+    2-day window (d+1 beats d+2). The window is in calendar days, not rows:
+    rows may skip dates. Days with no report within the window keep
     ema_source = "none" and are excluded downstream. Idempotent; never touches
     reported EMAs or sensor values.
     """
-    reports = {r.date: r.ema for r in ds.records if r.ema_source == "reported"}
-    out = []
-    for r in ds.records:
-        if r.ema_source == "reported":
-            out.append(r)
-            continue
-        filled = None
-        for k in range(1, BACKFILL_WINDOW + 1):
-            src = reports.get(r.date + dt.timedelta(days=k))
-            if src is not None:
-                filled = replace(r, ema=src, ema_source=f"backfilled-{k}")
-                break
-        out.append(filled if filled is not None else replace(r, ema=None, ema_source="none"))
-    return ParticipantDataset(participant_id=ds.participant_id, records=tuple(out))
-
-
-@dataclass(frozen=True)
-class EligibilityReport:
-    feature: str
-    isolation_days: int
-    sociability_days: int
-    min_days_per_category: int
-    eligible: bool
-    limiting_category: str | None
-
-
-def eligibility(ds: ParticipantDataset, ctx, min_days_per_category: int = 25) -> EligibilityReport:
-    """Check whether both category pools of a context have enough EMA days.
-
-    The default threshold matches the 25-day permutation sample size.
-    """
-    from .contexts import categorize
-
-    pools = categorize(ds, ctx)
-    n_iso = len(pools.isolation_days)
-    n_soc = len(pools.sociability_days)
-    eligible = n_iso >= min_days_per_category and n_soc >= min_days_per_category
-    limiting = None
-    if not eligible:
-        limiting = "isolation" if n_iso <= n_soc else "sociability"
-    return EligibilityReport(
-        feature=ctx.feature,
-        isolation_days=n_iso,
-        sociability_days=n_soc,
-        min_days_per_category=min_days_per_category,
-        eligible=eligible,
-        limiting_category=limiting,
-    )
+    reported = ds.ema_source == REPORTED
+    ema = np.where(reported[:, None], ds.ema, 0).astype(ds.ema.dtype)
+    ema_source = np.where(reported, REPORTED, NO_EMA).astype(ds.ema_source.dtype)
+    last_row = max(len(ds.dates) - 1, 0)
+    for k in range(BACKFILL_WINDOW, 0, -1):  # a nearer report overwrites a farther one
+        day = ds.dates + k
+        src = np.searchsorted(ds.dates, day).clip(max=last_row)
+        hit = ~reported & reported[src] & (ds.dates[src] == day)
+        ema[hit] = ds.ema[src[hit]]
+        ema_source[hit] = EMA_SOURCES.index(f"backfilled-{k}")
+    return ParticipantDataset(ds.participant_id, ds.dates, ema, ema_source, ds.sensors)

@@ -137,16 +137,15 @@ def connectivities(stack: np.ndarray) -> np.ndarray:
     return upper_triangle_sum(_correlations(stack))
 
 
-def pearson_network(days, subset: ItemSubset) -> CorrelationNetwork:
+def pearson_network(ema: np.ndarray, subset: ItemSubset) -> CorrelationNetwork:
     """Estimate the correlation network of an EMA item subset across days.
 
-    `days` is a sequence of EmaVector (or rows of 10 integer scores).
+    `ema` is an (n_days x 10) integer array of scores, one row per day, such
+    as the EMA rows of a category pool.
     """
-    rows = [d.scores if hasattr(d, "scores") else tuple(d) for d in days]
-    if len(rows) < 2:
-        raise InsufficientData(f"need at least 2 days, got {len(rows)}")
-    data = np.asarray(rows)[:, list(subset.indices)]
-    return CorrelationNetwork(items=subset.labels, matrix=correlation_matrix(data), n_samples=len(rows))
+    return CorrelationNetwork(
+        items=subset.labels, matrix=correlation_matrix(ema[:, subset.indices]), n_samples=len(ema)
+    )
 
 
 def upper_triangle_sum(matrix: np.ndarray):
@@ -183,15 +182,6 @@ def network_to_json(net: CorrelationNetwork) -> str:
         "matrix": [[float(v) for v in row] for row in net.matrix],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def network_from_json(text: str) -> CorrelationNetwork:
-    payload = json.loads(text)
-    return CorrelationNetwork(
-        items=tuple(payload["items"]),
-        matrix=np.asarray(payload["matrix"], dtype=float),
-        n_samples=int(payload["n_samples"]),
-    )
 
 
 def network_to_dot(net: CorrelationNetwork, threshold: float = DOT_EDGE_THRESHOLD) -> str:

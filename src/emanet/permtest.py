@@ -101,16 +101,9 @@ def child_rng(master_seed: int, stream_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, salt]))
 
 
-def ema_matrix(ds: ParticipantDataset, days, subset: ItemSubset) -> np.ndarray:
-    """(len(days) x |subset|) int array of EMA scores for the given dates."""
-    by_date = ds.by_date()
-    rows = []
-    for d in days:
-        r = by_date[d]
-        if not r.has_ema:
-            raise ValueError(f"day {d} has no EMA")
-        rows.append([r.ema.scores[i] for i in subset.indices])
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), subset.size)
+def ema_matrix(ds: ParticipantDataset, rows, subset: ItemSubset) -> np.ndarray:
+    """(len(rows) x |subset|) EMA scores of the given day-table rows."""
+    return ds.ema[rows][:, subset.indices]
 
 
 def _run(feature: str, a: np.ndarray, b: np.ndarray, draw, rng, cfg: PermutationConfig, log_indices: bool) -> PermutationRun:

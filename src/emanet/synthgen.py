@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import (
-    EMA_ITEMS,
-    DailyRecord,
-    EmaVector,
-    ParticipantDataset,
-    SensorDay,
-    SENSOR_FEATURES,
-)
+from .ingest import EMA_ITEMS, NO_EMA, NOT_MEASURED, REPORTED, SENSOR_FEATURES, ParticipantDataset
 from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, correlation_from_comoments, upper_triangle_sum
 
 # Standard normal quartiles: equiprobable mapping onto {0, 1, 2, 3}.
@@ -122,42 +115,40 @@ def generate(cfg: SynthConfig) -> ParticipantDataset:
     l_soc = _factor(np.asarray(cfg.sociability_corr, dtype=float))
     mu_iso = np.asarray(cfg.isolation_mean, dtype=float)
     mu_soc = np.asarray(cfg.sociability_mean, dtype=float)
-    records = []
+    n = cfg.n_days
+    planted = SENSOR_FEATURES.index(cfg.planted_feature)
+    ema = np.zeros((n, _N_ITEMS), dtype=np.int8)
+    ema_source = np.full(n, NO_EMA, dtype=np.int8)
+    sensors = np.zeros((n, len(SENSOR_FEATURES)), dtype=np.int64)
     planted_sociable = False
-    for i in range(cfg.n_days):
-        date = START_DATE + dt.timedelta(days=i)
+    for i in range(n):
         # The planted feature's category persists over each reporting block,
         # so the days covered by one report share the context it was made in.
         if i % cfg.report_cadence == 0:
             planted_sociable = bool(rng.random() < cfg.context_mix)
-        sociable = {
-            f: planted_sociable if f == cfg.planted_feature else bool(rng.random() < cfg.context_mix)
-            for f in SENSOR_FEATURES
-        }
-        counts = {}
-        for f in SENSOR_FEATURES:
+        sociable = [
+            planted_sociable if j == planted else bool(rng.random() < cfg.context_mix)
+            for j in range(len(SENSOR_FEATURES))
+        ]
+        for j, is_sociable in enumerate(sociable):
             if cfg.missing_sensor_rate and rng.random() < cfg.missing_sensor_rate:
-                counts[f] = None
-            elif sociable[f]:
-                counts[f] = int(rng.geometric(0.5))
-            else:
-                counts[f] = 0
-        ema = None
+                sensors[i, j] = NOT_MEASURED
+            elif is_sociable:
+                sensors[i, j] = rng.geometric(0.5)
         if i % cfg.report_cadence == cfg.report_cadence - 1:
-            if sociable[cfg.planted_feature]:
+            if sociable[planted]:
                 z = mu_soc + l_soc @ rng.standard_normal(_N_ITEMS)
             else:
                 z = mu_iso + l_iso @ rng.standard_normal(_N_ITEMS)
-            ema = EmaVector(tuple(int(s) for s in discretize(z)))
-        records.append(
-            DailyRecord(
-                date=date,
-                sensors=SensorDay(**counts),
-                ema=ema,
-                ema_source="reported" if ema is not None else "none",
-            )
-        )
-    return ParticipantDataset(participant_id=f"synth-{cfg.seed}", records=tuple(records))
+            ema[i] = discretize(z)
+            ema_source[i] = REPORTED
+    return ParticipantDataset(
+        participant_id=f"synth-{cfg.seed}",
+        dates=np.datetime64(START_DATE, "D") + np.arange(n),
+        ema=ema,
+        ema_source=ema_source,
+        sensors=sensors,
+    )
 
 
 def discretized_correlation(corr: tuple, n_draws: int = 4_000_000, seed: int = 0) -> np.ndarray:

@@ -15,7 +15,8 @@ import pytest
 
 from emanet.cli import main
 from emanet.contexts import ContextSpec, baseline_pool, categorize
-from emanet.ingest import DailyRecord, EmaVector, ParticipantDataset, SensorDay, backfill_emas
+from daytable import sources, table
+from emanet.ingest import backfill_emas
 from emanet.netcore import (
     ALL10,
     POSITIVE_ONLY,
@@ -139,11 +140,11 @@ def test_criterion_4_oracle_equivalence():
     worst_net = 0.0
     for _ in range(1000):
         n = rng.randrange(3, 12)
-        days = [EmaVector(tuple(rng.randrange(4) for _ in range(10))) for _ in range(n)]
+        days = np.array([[rng.randrange(4) for _ in range(10)] for _ in range(n)])
         net = pearson_network(days, ALL10)
         i, j = rng.sample(range(10), 2)
-        xi = [d.scores[i] for d in days]
-        xj = [d.scores[j] for d in days]
+        xi = days[:, i].tolist()
+        xj = days[:, j].tolist()
         worst_net = max(worst_net, abs(net.matrix[i, j] - _naive_pearson(xi, xj)))
 
     worst_t = 0.0
@@ -202,7 +203,7 @@ def test_criterion_6_analyze_determinism(tmp_path):
 
 
 def test_criterion_7_backfill_conformance():
-    ema = EmaVector((1, 2, 0, 3, 1, 0, 2, 1, 3, 0))
+    ema = (1, 2, 0, 3, 1, 0, 2, 1, 3, 0)
     rng = random.Random(99)
     ok = True
     import datetime as dt
@@ -211,25 +212,20 @@ def test_criterion_7_backfill_conformance():
     for _ in range(1000):
         n = rng.randrange(1, 50)
         reports = {i for i in range(n) if rng.random() < rng.choice([0.1, 0.3, 0.6])}
-        records = tuple(
-            DailyRecord(
-                date=d0 + dt.timedelta(days=i),
-                sensors=SensorDay(locations_visited=1),
-                ema=ema if i in reports else None,
-                ema_source="reported" if i in reports else "none",
-            )
+        rows = [
+            (d0 + dt.timedelta(days=i), ema if i in reports else None, (1,) + (None,) * 5)
             for i in range(n)
-        )
-        ds = backfill_emas(ParticipantDataset("p", records))
-        for i, r in enumerate(ds.records):
+        ]
+        ds = backfill_emas(table(rows))
+        for i, source in enumerate(sources(ds)):
             nearest = next((k for k in (0, 1, 2) if i + k in reports), None)
             if nearest is None:
-                ok = ok and r.ema_source == "none"
+                ok = ok and source == "none"
             elif nearest == 0:
-                ok = ok and r.ema_source == "reported"
+                ok = ok and source == "reported"
             else:
-                ok = ok and r.ema_source == f"backfilled-{nearest}"
-                ok = ok and r.ema == ds.records[i + nearest].ema
+                ok = ok and source == f"backfilled-{nearest}"
+                ok = ok and np.array_equal(ds.ema[i], ds.ema[i + nearest])
         if not ok:
             break
     check(7, "backfill copies nearest later report within 2 days; other days omitted (1000 schedules)", ok)

@@ -1,21 +1,12 @@
 import datetime as dt
 import random
 
+import numpy as np
 import pytest
 
-from emanet.ingest import (
-    CSV_COLUMNS,
-    DailyRecord,
-    EmaVector,
-    ParticipantDataset,
-    SchemaViolation,
-    SensorDay,
-    backfill_emas,
-    eligibility,
-    parse_participant,
-    write_participant,
-)
-from emanet.contexts import ContextSpec
+from daytable import assert_same, sources, table
+from emanet.contexts import ContextSpec, eligibility
+from emanet.ingest import CSV_COLUMNS, MAX_COUNT, REPORTED, SchemaViolation, backfill_emas, parse_participant, write_participant
 
 D0 = dt.date(2023, 1, 1)
 
@@ -38,30 +29,20 @@ def full_row(date, ema=None, sensors=None):
     return [date.isoformat()] + ema_cells + sensor_cells
 
 
+EMA = (1, 2, 0, 3, 1, 0, 2, 1, 3, 0)
+
+
 def make_dataset(report_days, n_days, pid="p"):
-    """Dataset with reports on the given day offsets; sensors all present."""
-    ema = EmaVector((1, 2, 0, 3, 1, 0, 2, 1, 3, 0))
-    records = []
-    for i in range(n_days):
-        reported = i in report_days
-        records.append(
-            DailyRecord(
-                date=day(i),
-                sensors=SensorDay(locations_visited=i % 3, calls_made=1),
-                ema=ema if reported else None,
-                ema_source="reported" if reported else "none",
-            )
-        )
-    return ParticipantDataset(participant_id=pid, records=tuple(records))
+    """Dataset with reports on the given day offsets; two sensors measured."""
+    return table([(day(i), EMA if i in report_days else None, (i % 3, 1) + (None,) * 4) for i in range(n_days)], pid)
 
 
 class TestParse:
     def test_basic_parse(self, tmp_path):
         rows = [full_row(day(0)), full_row(day(1)), full_row(day(2), ema=[1] * 10)]
         ds = parse_participant(make_csv(tmp_path, rows))
-        assert len(ds.records) == 3
-        assert ds.records[2].ema_source == "reported"
-        assert ds.records[0].ema_source == "none"
+        assert len(ds.dates) == 3
+        assert sources(ds) == ["none", "none", "reported"]
         assert ds.participant_id == "p01"
         assert ds.usable_days == 1
 
@@ -82,6 +63,30 @@ class TestParse:
         rows[0][0] = "01/02/2023"
         with pytest.raises(SchemaViolation, match="unparseable date"):
             parse_participant(make_csv(tmp_path, rows))
+
+    @pytest.mark.parametrize("raw", ["20230101", "2023-W01-1", "2023-1-01", "２０２３-01-01"])
+    def test_dates_must_be_ascii_yyyy_mm_dd(self, tmp_path, raw):
+        rows = [full_row(day(0))]
+        rows[0][0] = raw
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(make_csv(tmp_path, rows))
+        assert str(exc.value) == f"row 1, column 'date': unparseable date: {raw!r}"
+
+    def test_csv_level_error_is_schema_violation(self, tmp_path):
+        rows = [full_row(day(0)), full_row(day(1))]
+        rows[1][0] = "x" * 200_000
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(make_csv(tmp_path, rows))
+        assert (exc.value.row, exc.value.column) == (2, "row")
+        assert "field larger than field limit" in exc.value.reason
+
+    def test_count_must_fit_int64(self, tmp_path):
+        rows = [full_row(day(0), sensors=[str(MAX_COUNT)] + ["1"] * 5)]
+        assert parse_participant(make_csv(tmp_path, rows)).sensors[0, 0] == MAX_COUNT
+        rows = [full_row(day(0), sensors=[str(10**30)] + ["1"] * 5)]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(make_csv(tmp_path, rows))
+        assert (exc.value.row, exc.value.column) == (1, "locations_visited")
 
     def test_negative_count(self, tmp_path):
         rows = [full_row(day(0), sensors=["-1", "1", "1", "1", "1", "1"])]
@@ -107,7 +112,7 @@ class TestParse:
     def test_rows_sorted_by_date(self, tmp_path):
         rows = [full_row(day(2)), full_row(day(0)), full_row(day(1))]
         ds = parse_participant(make_csv(tmp_path, rows))
-        assert [r.date for r in ds.records] == [day(0), day(1), day(2)]
+        assert ds.dates.tolist() == [day(0), day(1), day(2)]
 
     def test_round_trip(self, tmp_path):
         rows = [
@@ -119,37 +124,40 @@ class TestParse:
         out = tmp_path / "rt.csv"
         write_participant(ds, out)
         ds2 = parse_participant(out, participant_id=ds.participant_id)
-        assert ds2 == ds
+        assert_same(ds2, ds)
 
 
 class TestBackfill:
     def test_single_report_covers_two_days(self):
         ds = backfill_emas(make_dataset({4}, 5))
-        sources = [r.ema_source for r in ds.records]
-        assert sources == ["none", "none", "backfilled-2", "backfilled-1", "reported"]
-        assert ds.records[2].ema == ds.records[4].ema
+        assert sources(ds) == ["none", "none", "backfilled-2", "backfilled-1", "reported"]
+        assert np.array_equal(ds.ema[2], ds.ema[4])
 
     def test_nearer_report_wins(self):
         ds = backfill_emas(make_dataset({3, 4}, 5))
-        sources = [r.ema_source for r in ds.records]
-        assert sources == ["none", "backfilled-2", "backfilled-1", "reported", "reported"]
+        assert sources(ds) == ["none", "backfilled-2", "backfilled-1", "reported", "reported"]
+
+    def test_window_counts_calendar_days_not_rows(self):
+        # Day 2 is missing: day 1 is two calendar days before the report, day 0 three.
+        rows = [(day(0), None, (1,) * 6), (day(1), None, (1,) * 6), (day(3), EMA, (1,) * 6)]
+        assert sources(backfill_emas(table(rows))) == ["none", "backfilled-2", "reported"]
 
     def test_reports_every_day_is_noop(self):
         ds = make_dataset(set(range(5)), 5)
-        assert backfill_emas(ds) == ds
+        assert_same(backfill_emas(ds), ds)
 
     def test_idempotent(self):
         ds = make_dataset({2, 7}, 9)
         once = backfill_emas(ds)
-        assert backfill_emas(once) == once
+        assert_same(backfill_emas(once), once)
 
     def test_never_alters_reported_or_sensors(self):
         ds = make_dataset({2, 7}, 9)
         out = backfill_emas(ds)
-        for before, after in zip(ds.records, out.records):
-            assert after.sensors == before.sensors
-            if before.ema_source == "reported":
-                assert after == before
+        assert np.array_equal(out.sensors, ds.sensors)
+        reported = ds.ema_source == REPORTED
+        assert np.array_equal(out.ema[reported], ds.ema[reported])
+        assert np.array_equal(out.ema_source[reported], ds.ema_source[reported])
 
     def test_usable_days_never_decreases(self):
         ds = make_dataset({5}, 8)
@@ -161,32 +169,21 @@ class TestBackfill:
             n = rng.randrange(1, 40)
             reports = {i for i in range(n) if rng.random() < 0.3}
             ds = backfill_emas(make_dataset(reports, n))
-            for i, r in enumerate(ds.records):
+            for i, source in enumerate(sources(ds)):
                 nearest = next((k for k in (0, 1, 2) if i + k in reports), None)
                 if nearest is None:
-                    assert r.ema_source == "none"
+                    assert source == "none"
                 elif nearest == 0:
-                    assert r.ema_source == "reported"
+                    assert source == "reported"
                 else:
-                    assert r.ema_source == f"backfilled-{nearest}"
-                    assert r.ema == ds.records[i + nearest].ema
+                    assert source == f"backfilled-{nearest}"
+                    assert np.array_equal(ds.ema[i], ds.ema[i + nearest])
 
 
 class TestEligibility:
     def test_eligible(self):
         # Alternating counts: half isolation, half sociability.
-        records = []
-        ema = EmaVector((1,) * 10)
-        for i in range(80):
-            records.append(
-                DailyRecord(
-                    date=day(i),
-                    sensors=SensorDay(locations_visited=i % 2),
-                    ema=ema,
-                    ema_source="reported",
-                )
-            )
-        ds = ParticipantDataset("p", tuple(records))
+        ds = table([(day(i), (1,) * 10, (i % 2,) + (None,) * 5) for i in range(80)])
         rep = eligibility(ds, ContextSpec("locations_visited"), 25)
         assert rep.eligible
         assert rep.isolation_days == 40
@@ -194,14 +191,7 @@ class TestEligibility:
         assert rep.limiting_category is None
 
     def test_ineligible_names_limiting_category(self):
-        records = []
-        ema = EmaVector((1,) * 10)
-        for i in range(60):
-            count = 0 if i < 24 else 1
-            records.append(
-                DailyRecord(date=day(i), sensors=SensorDay(calls_made=count), ema=ema, ema_source="reported")
-            )
-        ds = ParticipantDataset("p", tuple(records))
+        ds = table([(day(i), (1,) * 10, (None, 0 if i < 24 else 1) + (None,) * 4) for i in range(60)])
         rep = eligibility(ds, ContextSpec("calls_made"), 25)
         assert not rep.eligible
         assert rep.limiting_category == "isolation"

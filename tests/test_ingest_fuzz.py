@@ -1,0 +1,87 @@
+"""Property tests of the participant CSV parser.
+
+Hypothesis runs derandomized with a fixed example count and no example
+database, so every run checks the same inputs and stores none.
+"""
+
+import datetime as dt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from daytable import assert_same, table
+from emanet.ingest import CSV_COLUMNS, ParticipantDataset, SchemaViolation, parse_participant, write_participant
+
+FUZZ = settings(derandomize=True, max_examples=200, database=None, deadline=None)
+
+VALID_ROWS = st.builds(
+    lambda date, ema, counts: [date.isoformat(), *ema, *counts],
+    st.dates(dt.date(2023, 1, 1), dt.date(2023, 1, 20)),
+    st.just([""] * 10) | st.lists(st.integers(0, 3).map(str), min_size=10, max_size=10),
+    # Counts are small, missing, or next to the int64 limit.
+    st.lists(st.sampled_from(["", "0", "1", "7"]) | st.integers(2**63 - 2, 2**63 + 1).map(str), min_size=6, max_size=6),
+)
+ODD_CELLS = st.none() | st.text(max_size=12) | st.sampled_from(
+    ["20230101", "2023-W01-1", "2023-02-30", "0000-01-01", "２０２３-01-01", "4", "-1", "1.0", "1_0", "+3", "٣", ""]
+)
+
+
+def _csv(rows, edit, eol):
+    """CSV bytes of rows after at most one edit: a cell replaced by an odd one,
+    deleted (None) or appended past the end of its row."""
+    if edit is not None and rows:
+        r, i, cell = edit
+        row = rows[r % len(rows)]
+        rows[r % len(rows)] = row[:i] + ([] if cell is None else [cell]) + row[i + 1 :]
+    return eol.join([",".join(CSV_COLUMNS)] + [",".join(row) for row in rows]).encode("utf-8")
+
+
+CSV_TEXT = st.builds(
+    _csv,
+    st.lists(VALID_ROWS, max_size=8, unique_by=lambda row: row[0]),
+    st.none() | st.tuples(st.integers(0, 7), st.integers(0, len(CSV_COLUMNS)), ODD_CELLS),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+SCORES = st.lists(st.integers(0, 3), min_size=10, max_size=10).map(tuple)
+COUNTS = st.lists(st.none() | st.integers(0, 2**63 - 1), min_size=6, max_size=6)
+
+
+def _table(start, days):
+    """Valid dataset: strictly increasing dates with gaps, reported or empty EMA rows."""
+    rows = []
+    for gap, scores, counts in days:
+        start += dt.timedelta(days=gap)
+        rows.append((start, scores, counts))
+    return table(rows, pid="fuzz")
+
+
+DATASETS = st.builds(
+    _table,
+    st.dates(dt.date(1, 1, 1), dt.date(9000, 1, 1)),
+    st.lists(st.tuples(st.integers(1, 4), st.none() | SCORES, COUNTS), max_size=25),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.csv"
+
+
+@FUZZ
+@given(data=st.binary(max_size=300) | CSV_TEXT)
+def test_any_bytes_give_a_dataset_or_a_named_error(data, scratch):
+    scratch.write_bytes(data)
+    try:
+        ds = parse_participant(scratch)
+    except (SchemaViolation, UnicodeDecodeError):
+        return
+    assert isinstance(ds, ParticipantDataset)
+
+
+@FUZZ
+@given(ds=DATASETS)
+def test_write_then_parse_round_trips(ds, scratch):
+    write_participant(ds, scratch)
+    assert_same(parse_participant(scratch, participant_id="fuzz"), ds)

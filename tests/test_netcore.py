@@ -1,11 +1,11 @@
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from emanet.ingest import EmaVector
 from emanet.netcore import (
     ALL10,
     NEGATIVE_ONLY,
@@ -19,7 +19,6 @@ from emanet.netcore import (
     connectivity_difference,
     correlation_matrix,
     export_network,
-    network_from_json,
     network_to_dot,
     network_to_json,
     pearson_network,
@@ -39,13 +38,14 @@ def naive_pearson(x, y):
 
 
 def vectors(columns):
-    """Build EmaVectors from per-item columns, padding unused items with zeros."""
+    """(n_days x 10) scores from per-item columns, padding unused items with zeros."""
     n = len(columns[0])
-    rows = []
-    for i in range(n):
-        scores = [columns[j][i] if j < len(columns) else 0 for j in range(10)]
-        rows.append(EmaVector(tuple(scores)))
-    return rows
+    return np.array([[columns[j][i] if j < len(columns) else 0 for j in range(10)] for i in range(n)])
+
+
+def random_days(rng, n):
+    """n days of 10 uniform scores 0-3 from a random.Random."""
+    return np.array([[rng.randrange(4) for _ in range(10)] for _ in range(n)])
 
 
 def two_item_subset():
@@ -84,22 +84,23 @@ class TestPearsonNetwork:
 
     def test_order_invariance(self):
         rng = random.Random(5)
-        days = [EmaVector(tuple(rng.randrange(4) for _ in range(10))) for _ in range(12)]
-        shuffled = days[:]
-        rng.shuffle(shuffled)
+        days = random_days(rng, 12)
+        order = list(range(12))
+        rng.shuffle(order)
+        shuffled = days[order]
         a = pearson_network(days, ALL10)
         b = pearson_network(shuffled, ALL10)
         assert np.allclose(a.matrix, b.matrix, atol=1e-12)
 
     def test_affine_invariance_on_raw_rows(self):
-        # Raw integer rows (not EmaVector) allow out-of-range values.
+        # Raw integer rows allow out-of-range values.
         rng = random.Random(9)
-        rows = [[rng.randrange(4) for _ in range(3)] for _ in range(10)]
+        rows = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(10)])
         subset = ItemSubset("t3", (0, 1, 2))
         base = pearson_network(rows, subset)
-        shifted = pearson_network([[r[0] + 7, r[1], r[2]] for r in rows], subset)
-        scaled = pearson_network([[r[0] * 3, r[1], r[2]] for r in rows], subset)
-        negated = pearson_network([[-r[0], r[1], r[2]] for r in rows], subset)
+        shifted = pearson_network(rows + [7, 0, 0], subset)
+        scaled = pearson_network(rows * [3, 1, 1], subset)
+        negated = pearson_network(rows * [-1, 1, 1], subset)
         assert np.allclose(base.matrix, shifted.matrix, atol=1e-12)
         assert np.allclose(base.matrix, scaled.matrix, atol=1e-12)
         expected = base.matrix.copy()
@@ -111,15 +112,15 @@ class TestPearsonNetwork:
         rng = random.Random(31)
         for _ in range(50):
             n = rng.randrange(3, 12)
-            days = [EmaVector(tuple(rng.randrange(4) for _ in range(10))) for _ in range(n)]
+            days = random_days(rng, n)
             net = pearson_network(days, ALL10)
-            cols = [[d.scores[i] for d in days] for i in range(10)]
+            cols = days.T.tolist()
             for i, j in itertools.combinations(range(10), 2):
                 assert net.matrix[i, j] == pytest.approx(naive_pearson(cols[i], cols[j]), abs=1e-12)
 
     def test_matrix_invariants(self):
         rng = random.Random(77)
-        days = [EmaVector(tuple(rng.randrange(4) for _ in range(10))) for _ in range(25)]
+        days = random_days(rng, 25)
         net = pearson_network(days, ALL10)
         assert np.allclose(net.matrix, net.matrix.T)
         assert np.all(np.diag(net.matrix) == 1.0)
@@ -178,7 +179,7 @@ class TestKernel:
         with pytest.raises(ValueError, match="integer"):
             connectivities(floats[None])
         with pytest.raises(ValueError, match="integer"):
-            pearson_network([[0.5] * 10, [1.5] * 10, [2.5] * 10], two_item_subset())
+            pearson_network(np.array([[0.5] * 10, [1.5] * 10, [2.5] * 10]), two_item_subset())
 
     def test_moments_too_large_raise(self):
         with pytest.raises(ValueError, match="exact"):
@@ -259,10 +260,10 @@ class TestExport:
         m = (m + m.T) / 2
         np.fill_diagonal(m, 1.0)
         net = CorrelationNetwork(items=ALL10.labels, matrix=m, n_samples=42)
-        back = network_from_json(network_to_json(net))
-        assert back.items == net.items
-        assert back.n_samples == 42
-        assert np.array_equal(back.matrix, net.matrix)
+        back = json.loads(network_to_json(net))
+        assert tuple(back["items"]) == net.items
+        assert back["n_samples"] == 42
+        assert np.array_equal(np.asarray(back["matrix"]), net.matrix)
 
     def test_export_dispatch(self):
         net = network_with(0.0)

@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from daytable import table
 from emanet.contexts import ContextSpec, baseline_pool, categorize
-from emanet.ingest import DailyRecord, EmaVector, ParticipantDataset, SensorDay, backfill_emas
+from emanet.ingest import backfill_emas
 from emanet.netcore import ALL10, POSITIVE_ONLY, correlation_matrix, upper_triangle_sum
 from emanet.permtest import (
     ConfigMismatch,
@@ -35,18 +36,12 @@ def dataset_with_pools(n_iso, n_soc, seed=0, floor_items=()):
     floor_items score 0 on 90% of days, so a sample often holds a constant item.
     """
     rng = random.Random(seed)
-    records = []
+    rows = []
     for i in range(n_iso + n_soc):
-        ema = EmaVector(tuple(0 if j in floor_items and rng.random() < 0.9 else rng.randrange(4) for j in range(10)))
-        records.append(
-            DailyRecord(
-                date=D0 + dt.timedelta(days=i),
-                sensors=SensorDay(locations_visited=0 if i < n_iso else 1 + rng.randrange(3)),
-                ema=ema,
-                ema_source="reported",
-            )
-        )
-    return ParticipantDataset("p", tuple(records))
+        ema = tuple(0 if j in floor_items and rng.random() < 0.9 else rng.randrange(4) for j in range(10))
+        locations = 0 if i < n_iso else 1 + rng.randrange(3)
+        rows.append((D0 + dt.timedelta(days=i), ema, (locations,) + (None,) * 5))
+    return table(rows)
 
 
 def pools_for(ds):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from emanet import synthgen
-from emanet.ingest import SENSOR_FEATURES, backfill_emas, parse_participant, write_participant
+from daytable import assert_same, sources
+from emanet.ingest import NOT_MEASURED, REPORTED, backfill_emas, parse_participant, write_participant
 from emanet.netcore import POSITIVE_ONLY, correlation_matrix
 from emanet.synthgen import (
     DISCRETIZE_THRESHOLDS,
@@ -18,18 +19,18 @@ from emanet.synthgen import (
 
 def test_generate_is_deterministic():
     cfg = SynthConfig(n_days=60, seed=5)
-    assert generate(cfg) == generate(cfg)
+    assert_same(generate(cfg), generate(cfg))
 
 
 def test_empty_dataset():
     ds = generate(SynthConfig(n_days=0, seed=1))
-    assert ds.records == ()
+    assert len(ds.dates) == 0
     assert ds.usable_days == 0
 
 
 def test_report_cadence():
     ds = generate(SynthConfig(n_days=30, seed=2, report_cadence=3))
-    reported = [i for i, r in enumerate(ds.records) if r.ema_source == "reported"]
+    reported = [i for i, source in enumerate(sources(ds)) if source == "reported"]
     assert reported == [2, 5, 8, 11, 14, 17, 20, 23, 26, 29]
     # Cadence 3 + 2-day backfill covers every day.
     assert backfill_emas(ds).usable_days == 30
@@ -38,16 +39,15 @@ def test_report_cadence():
 def test_sensor_counts_satisfy_predicates():
     cfg = SynthConfig(n_days=200, seed=3)
     ds = generate(cfg)
-    for r in ds.records:
-        for f in SENSOR_FEATURES:
-            c = r.sensors.count(f)
-            assert c is None or c >= 0
+    for counts in ds.sensors.tolist():
+        for c in counts:
+            assert c == NOT_MEASURED or c >= 0
 
 
 def test_missing_rate_produces_missing_counts():
     ds = generate(SynthConfig(n_days=200, seed=4, missing_sensor_rate=0.3))
-    missing = sum(1 for r in ds.records for f in SENSOR_FEATURES if r.sensors.count(f) is None)
-    total = len(ds.records) * len(SENSOR_FEATURES)
+    missing = int((ds.sensors == NOT_MEASURED).sum())
+    total = ds.sensors.size
     assert 0.2 < missing / total < 0.4
 
 
@@ -75,7 +75,7 @@ def test_csv_round_trip(tmp_path):
     ds = generate(cfg)
     path = tmp_path / "synth.csv"
     write_participant(ds, path)
-    assert parse_participant(path, participant_id=ds.participant_id) == ds
+    assert_same(parse_participant(path, participant_id=ds.participant_id), ds)
 
 
 class TestGroundTruth:
@@ -108,11 +108,9 @@ def test_empirical_correlation_matches_targets():
     r = 0.5
     cfg = SynthConfig(n_days=50_000, seed=9, report_cadence=1, isolation_corr=correlated_block(r))
     ds = generate(cfg)
-    iso_rows, soc_rows = [], []
-    for rec in ds.records:
-        if rec.ema_source != "reported":
-            continue
-        (iso_rows if rec.sensors.locations_visited == 0 else soc_rows).append(rec.ema.scores)
+    reported = ds.ema_source == REPORTED
+    iso_rows = ds.ema[reported & (ds.sensors[:, 0] == 0)]
+    soc_rows = ds.ema[reported & (ds.sensors[:, 0] != 0)]
     emp_iso = correlation_matrix(np.asarray(iso_rows))
     emp_soc = correlation_matrix(np.asarray(soc_rows))
     target_iso = discretized_correlation(cfg.isolation_corr)
@@ -151,7 +149,7 @@ class TestEigenbasisIndependence:
         cfg = SynthConfig(n_days=300, seed=100, isolation_corr=correlated_block(0.6))
         expected = generate(cfg)
         monkeypatch.setattr(synthgen.np.linalg, "eigh", _rotating_eigh(1))
-        assert generate(cfg) == expected
+        assert_same(generate(cfg), expected)
 
     def test_discretized_correlation_ignores_eigenbasis(self, monkeypatch):
         target = correlated_block(0.6)
