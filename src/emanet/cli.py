@@ -367,8 +367,7 @@ def cmd_export_network(args) -> int:
         pools = categorize(ds, ctx)
         rows = pools.isolation_days if args.category == "isolation" else pools.sociability_days
     if len(rows) < 2:
-        print(f"error: {args.category} pool has {len(rows)} days, need 2", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise InsufficientPool("baseline" if ctx.is_baseline else args.category, len(rows), 2)
     net = pearson_network(ds.ema[rows], subset)
     text = export_network(net, args.format)
     if args.out:

@@ -126,10 +126,14 @@ def _parse_date(raw: str, row: int) -> dt.date:
 
 
 def _parse_int_cell(raw: str, row: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaViolation(row, column, f"not an integer: {raw!r}") from None
+    """ASCII -?[0-9]+ only, as write_participant writes: int() alone also takes
+    '+3', '1_000' and non-ASCII digits. str methods, not a regex: this runs per cell."""
+    if raw.isascii() and (raw.isdigit() or raw[:1] == "-" and raw[1:].isdigit()):
+        try:
+            return int(raw)
+        except ValueError:  # over the interpreter's int-from-str digit limit
+            pass
+    raise SchemaViolation(row, column, f"not an integer: {raw!r}")
 
 
 def _parse_score(raw: str, row: int, column: str) -> int:

@@ -91,7 +91,12 @@ class CorrelationNetwork:
 
 
 def _correlations(stack: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrices of each (n_days x k) slice of an integer stack."""
+    """Pearson correlation matrices of each (n_days x k) slice of an integer stack:
+    r = cm_ij / sqrt(cm_ii·cm_jj) from the co-moments cm = n·Σxy − Σx·Σy.
+
+    Zero-variance columns get correlation 0 against everything; the diagonal
+    is forced to 1. Entries are clipped to [-1, 1] against rounding.
+    """
     if not np.issubdtype(stack.dtype, np.integer):
         raise ValueError(f"expected integer scores, got dtype {stack.dtype}")
     n = stack.shape[-2]
@@ -100,16 +105,6 @@ def _correlations(stack: np.ndarray) -> np.ndarray:
     x = stack.astype(np.int64, copy=False)
     sums = x.sum(axis=-2)
     cm = n * np.matmul(np.swapaxes(x, -1, -2), x) - sums[..., :, None] * sums[..., None, :]
-    return correlation_from_comoments(cm)
-
-
-def correlation_from_comoments(cm: np.ndarray) -> np.ndarray:
-    """Pearson r = cm_ij / sqrt(cm_ii·cm_jj) from (..., k, k) integer co-moments
-    cm = n·Σxy − Σx·Σy.
-
-    Zero-variance columns get correlation 0 against everything; the diagonal
-    is forced to 1. Entries are clipped to [-1, 1] against rounding.
-    """
     var = np.diagonal(cm, axis1=-2, axis2=-1).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = cm / np.sqrt(var[..., :, None] * var[..., None, :])

@@ -4,9 +4,9 @@ Days are assigned a category (isolation or sociability) per sensor feature.
 EMA scores come from a latent multivariate normal whose correlation matrix
 depends on the planted feature's category on the report day, discretized onto
 the 0-3 scale at standard-normal quartile boundaries (equiprobable levels).
-The discretization attenuates latent correlations; ground_truth() measures the
-attenuated targets with a large-sample oracle rather than an analytic
-correction.
+The discretization attenuates latent correlations; ground_truth() prices that
+in exactly, from the discretized correlations of each category's latent model
+(Plackett's identity, one quadrature per item pair), with no sampling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import EMA_ITEMS, NO_EMA, NOT_MEASURED, REPORTED, SENSOR_FEATURES, ParticipantDataset
-from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, correlation_from_comoments, upper_triangle_sum
+from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, upper_triangle_sum
 
 # Standard normal quartiles: equiprobable mapping onto {0, 1, 2, 3}.
 DISCRETIZE_THRESHOLDS = (-0.6744897501960817, 0.0, 0.6744897501960817)
@@ -55,6 +55,9 @@ class SynthConfig:
     missing_sensor_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_days", "seed", "report_cadence"):
+            if type(getattr(self, name)) is not int:  # bool is not an integer here
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_days < 0:
             raise InvalidConfig("n_days must be >= 0")
         if self.seed < 0:
@@ -72,6 +75,8 @@ class SynthConfig:
         for name in ("isolation_mean", "sociability_mean"):
             if len(getattr(self, name)) != _N_ITEMS:
                 raise InvalidConfig(f"{name} must have {_N_ITEMS} entries")
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
+                raise InvalidConfig(f"{name} entries must be finite")
 
 
 def _validate_corr(m: np.ndarray, name: str) -> None:
@@ -151,42 +156,38 @@ def generate(cfg: SynthConfig) -> ParticipantDataset:
     )
 
 
-def discretized_correlation(corr: tuple, n_draws: int = 4_000_000, seed: int = 0) -> np.ndarray:
-    """Large-sample correlation matrix of the discretized latent model.
+def discretized_correlation(corr: tuple, mean: tuple) -> np.ndarray:
+    """Exact correlation matrix of the 0-3 scores of latents N(mean, corr).
 
-    Accumulates integer cross-moments in chunks: scores are 0-3 so the sums
-    stay exact in int64 and memory stays flat regardless of n_draws. The
-    network kernel's integer-moment step turns them into r.
+    Item i's thresholds sit at h_i = DISCRETIZE_THRESHOLDS - mean_i. By Plackett's
+    identity (Biometrika 41, 1954), cov(i, j) is the sum over a in h_i, b in h_j
+    of the integral of phi2(a, b; r) dr from 0 to rho_ij; var(i) is that at rho = 1.
+    With r = sin t the integrand is exp(-(a² - 2ab·sin t + b²) / (2cos²t)) / 2π,
+    smooth, and one 64-node Gauss-Legendre rule gives r to ~1e-13.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6F7261636C65]))
-    l = _factor(np.asarray(corr, dtype=float))
-    cross = np.zeros((_N_ITEMS, _N_ITEMS), dtype=np.int64)
-    sums = np.zeros(_N_ITEMS, dtype=np.int64)
-    remaining = n_draws
-    chunk = 250_000
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = discretize(rng.standard_normal((m, _N_ITEMS)) @ l.T)
-        cross += x.T @ x
-        sums += x.sum(axis=0)
-        remaining -= m
-    return correlation_from_comoments(n_draws * cross - np.outer(sums, sums))
+    rho = np.array(corr, dtype=float)
+    np.fill_diagonal(rho, 1.0)
+    h = np.subtract(DISCRETIZE_THRESHOLDS, np.asarray(mean, dtype=float)[:, None])
+    a, b = h[:, None, :, None, None], h[None, :, None, :, None]
+    t_max = np.arcsin(np.clip(rho, -1.0, 1.0))
+    # Built per call: numpy.polynomial at module level would cost every CLI run ~1.6 MB.
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t = (t_max[..., None] * ((nodes + 1) / 2))[:, :, None, None, :]
+    f = np.exp(-(a * a - 2 * a * b * np.sin(t) + b * b) / (2 * np.cos(t) ** 2))
+    cov = (f * (weights / 2)).sum(axis=(-3, -2, -1)) * t_max / (2 * np.pi)
+    var = np.diagonal(cov)
+    r = np.clip(cov / np.sqrt(var[:, None] * var[None, :]), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r
 
 
-def ground_truth(
-    cfg: SynthConfig,
-    subset: ItemSubset = ALL10,
-    n_draws: int = 4_000_000,
-    oracle_seed: int = 0,
-) -> float:
+def ground_truth(cfg: SynthConfig, subset: ItemSubset = ALL10) -> float:
     """Expected connectivity difference (isolation minus sociability).
 
-    Brute-force oracle: simulates the discretization pipeline at large sample
-    size, so Likert coarsening attenuation is priced into the planted effect.
+    Exact: each category's discretized correlations, at its own latent means,
+    so Likert coarsening attenuation is priced into the planted effect.
     """
-    if cfg.isolation_corr == cfg.sociability_corr:
-        return 0.0
-    idx = list(subset.indices)
-    r_iso = discretized_correlation(cfg.isolation_corr, n_draws, oracle_seed)[np.ix_(idx, idx)]
-    r_soc = discretized_correlation(cfg.sociability_corr, n_draws, oracle_seed + 1)[np.ix_(idx, idx)]
+    idx = np.ix_(subset.indices, subset.indices)
+    r_iso = discretized_correlation(cfg.isolation_corr, cfg.isolation_mean)[idx]
+    r_soc = discretized_correlation(cfg.sociability_corr, cfg.sociability_mean)[idx]
     return upper_triangle_sum(r_iso) - upper_triangle_sum(r_soc)

@@ -4,7 +4,7 @@ import pytest
 
 from emanet.cli import histogram_csv, main, significance_marker
 from daytable import assert_same
-from emanet.ingest import parse_participant
+from emanet.ingest import CSV_COLUMNS, parse_participant
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,14 @@ class TestExportNetwork:
         net = json.loads(target.read_text())
         assert len(net["items"]) == 10
 
+    @pytest.mark.parametrize("flags, pool", [(["--context", "baseline"], "baseline"),
+                                             (["--context", "locations", "--category", "sociability"], "sociability")])
+    def test_pool_too_small_exits_3(self, flags, pool, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
+        assert main(["export-network", str(empty)] + flags) == 3
+        assert capsys.readouterr().err == f"error: {pool} pool has 0 days, need 2\n"
+
 
 def _not_utf8(src, dst):
     """Copy src with a Latin-1 byte in its first data row."""
@@ -216,16 +224,34 @@ BAD_INPUTS = [
                  "file not found: ", id="export-missing-out-dir"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{cfg}"], "invalid synth config: ",
                  id="synth-unknown-key"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{float_days}"],
+                 "invalid synth config: n_days must be an integer, got 10.5", id="synth-float-days"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{float_seed}"],
+                 "invalid synth config: seed must be an integer, got 1.5", id="synth-float-seed"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{float_cadence}"],
+                 "invalid synth config: report_cadence must be an integer, got 2.5", id="synth-float-cadence"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{nan_mean}"],
+                 "invalid synth config: isolation_mean entries must be finite", id="synth-nan-mean"),
 ]
+
+# One --config file per case; json writes float("nan") as NaN, which json.loads reads back.
+SYNTH_CONFIGS = {
+    "cfg": {"n_days": 40, "bogus": 1},
+    "float_days": {"n_days": 10.5},
+    "float_seed": {"n_days": 10, "seed": 1.5},
+    "float_cadence": {"n_days": 10, "report_cadence": 2.5},
+    "nan_mean": {"n_days": 10, "isolation_mean": [float("nan")] + [0.0] * 9},
+}
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUTS)
 def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"n_days": 40, "bogus": 1}), encoding="utf-8")
+    for name, cfg in SYNTH_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
     (tmp_path / "d").mkdir()
     names = {"csv": str(planted_csv), "latin1": str(_not_utf8(planted_csv, tmp_path / "latin1.csv")),
-             "dir": "d", "out": "out", "cfg": "cfg.json"}
+             "dir": "d", "out": "out", **{name: f"{name}.json" for name in SYNTH_CONFIGS}}
     rc = main([a.format(**names) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -88,6 +88,15 @@ class TestParse:
             parse_participant(make_csv(tmp_path, rows))
         assert (exc.value.row, exc.value.column) == (1, "locations_visited")
 
+    @pytest.mark.parametrize("raw", ["1_000", "+3", "１", "٣", pytest.param("9" * 5000, id="5000-digits")])
+    @pytest.mark.parametrize("column", ["ema_calm", "locations_visited"])
+    def test_integers_must_be_ascii_digits(self, tmp_path, raw, column):
+        row = full_row(day(0), ema=[1] * 10)
+        row[CSV_COLUMNS.index(column)] = raw
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(make_csv(tmp_path, [row]))
+        assert str(exc.value) == f"row 1, column {column!r}: not an integer: {raw!r}"
+
     def test_negative_count(self, tmp_path):
         rows = [full_row(day(0), sensors=["-1", "1", "1", "1", "1", "1"])]
         with pytest.raises(SchemaViolation, match="negative count"):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,10 +88,8 @@ class TestGroundTruth:
         block = [[1.0 if i == j else 0.0 for j in range(10)] for i in range(10)]
         block[0][1] = block[1][0] = 0.6
         cfg = SynthConfig(n_days=10, isolation_corr=tuple(map(tuple, block)))
-        a = ground_truth(cfg, oracle_seed=0)
-        b = ground_truth(cfg, oracle_seed=123)
+        a = ground_truth(cfg)
         assert 0.0 < a < 0.6
-        assert a == pytest.approx(b, abs=0.01)
 
     def test_block_additivity(self):
         single = [[1.0 if i == j else 0.0 for j in range(10)] for i in range(10)]
@@ -101,22 +100,63 @@ class TestGroundTruth:
         )
         assert all_pairs == pytest.approx(10.0 * one_pair, rel=0.05)
 
+    def test_equal_corr_different_means(self):
+        cfg = SynthConfig(n_days=10, isolation_corr=correlated_block(0.4), sociability_corr=correlated_block(0.4),
+                          isolation_mean=(1.0,) * 10)
+        assert ground_truth(cfg) < 0.0  # a latent shifted off the quartiles loses more to coarsening
+
+
+def _reference_correlation(rho, mean_i, mean_j):
+    """Discretized correlation by adaptive quadrature of the bivariate normal
+    density in r (Plackett's identity), over closed-form variances."""
+    thresholds = [mpmath.mpf(t) for t in DISCRETIZE_THRESHOLDS]
+
+    def phi2(a, b, r):
+        q = 1 - r * r
+        return mpmath.exp(-(a * a - 2 * a * b * r + b * b) / (2 * q)) / (2 * mpmath.pi * mpmath.sqrt(q))
+
+    def variance(mu):
+        return mpmath.fsum(mpmath.ncdf(mu - max(a, b)) - mpmath.ncdf(mu - a) * mpmath.ncdf(mu - b)
+                           for a in thresholds for b in thresholds)
+
+    hi = [t - mean_i for t in thresholds]
+    hj = [t - mean_j for t in thresholds]
+    cov = mpmath.quad(lambda r: mpmath.fsum(phi2(a, b, r) for a in hi for b in hj), [0, mpmath.mpf(rho)])
+    return float(cov / mpmath.sqrt(variance(mean_i) * variance(mean_j)))
+
+
+class TestDiscretizedCorrelation:
+    @pytest.mark.parametrize("means", [(0, 0), (1, -0.5), (2, 2), (-2, 1)])
+    def test_matches_mpmath(self, means):
+        for rho in (-0.999, -0.9, -0.3, 0.0, 0.1, 0.6, 0.99, 0.999):
+            r = discretized_correlation([[1.0, rho], [rho, 1.0]], means)
+            with mpmath.workdps(20):
+                assert abs(r[0, 1] - _reference_correlation(rho, *means)) <= 1e-10, rho
+            assert r[0, 0] == r[1, 1] == 1.0
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_perfect_correlation_is_exact(self, rho):
+        r = discretized_correlation([[1.0, rho], [rho, 1.0]], (0.0, 0.0))
+        assert r.tolist() == [[1.0, rho], [rho, 1.0]]
+
 
 def test_empirical_correlation_matches_targets():
     # Group reported-day EMAs by the day's own category (recoverable from the
     # planted feature's count) and compare to the discretization oracle.
     r = 0.5
-    cfg = SynthConfig(n_days=50_000, seed=9, report_cadence=1, isolation_corr=correlated_block(r))
-    ds = generate(cfg)
-    reported = ds.ema_source == REPORTED
-    iso_rows = ds.ema[reported & (ds.sensors[:, 0] == 0)]
-    soc_rows = ds.ema[reported & (ds.sensors[:, 0] != 0)]
-    emp_iso = correlation_matrix(np.asarray(iso_rows))
-    emp_soc = correlation_matrix(np.asarray(soc_rows))
-    target_iso = discretized_correlation(cfg.isolation_corr)
-    target_soc = discretized_correlation(cfg.sociability_corr)
-    assert np.max(np.abs(emp_iso - target_iso)) < 0.02
-    assert np.max(np.abs(emp_soc - target_soc)) < 0.02
+    for means in ((0.0,) * 10, (1.0,) * 10):
+        cfg = SynthConfig(n_days=50_000, seed=9, report_cadence=1, isolation_corr=correlated_block(r),
+                          isolation_mean=means)
+        ds = generate(cfg)
+        reported = ds.ema_source == REPORTED
+        iso_rows = ds.ema[reported & (ds.sensors[:, 0] == 0)]
+        soc_rows = ds.ema[reported & (ds.sensors[:, 0] != 0)]
+        emp_iso = correlation_matrix(np.asarray(iso_rows))
+        emp_soc = correlation_matrix(np.asarray(soc_rows))
+        target_iso = discretized_correlation(cfg.isolation_corr, cfg.isolation_mean)
+        target_soc = discretized_correlation(cfg.sociability_corr, cfg.sociability_mean)
+        assert np.max(np.abs(emp_iso - target_iso)) < 0.02
+        assert np.max(np.abs(emp_soc - target_soc)) < 0.02
 
 
 def _rotating_eigh(seed):
@@ -153,9 +193,9 @@ class TestEigenbasisIndependence:
 
     def test_discretized_correlation_ignores_eigenbasis(self, monkeypatch):
         target = correlated_block(0.6)
-        expected = discretized_correlation(target, n_draws=20_000)
+        expected = discretized_correlation(target, (0.0,) * 10)
         monkeypatch.setattr(synthgen.np.linalg, "eigh", _rotating_eigh(2))
-        assert np.array_equal(discretized_correlation(target, n_draws=20_000), expected)
+        assert np.array_equal(discretized_correlation(target, (0.0,) * 10), expected)
 
     def test_factor_of_semidefinite_target(self):
         c = np.asarray(correlated_block(1.0))
