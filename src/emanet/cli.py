@@ -37,6 +37,7 @@ from .permtest import (
     run_baseline_permutation,
     run_context_permutation,
 )
+from .synthgen import InvalidConfig as InvalidSynthConfig
 from .synthgen import SynthConfig, correlated_block, generate
 
 EXIT_OK = 0
@@ -324,14 +325,28 @@ def cmd_cohort(args) -> int:
 
 def _synth_config_from_args(args) -> SynthConfig:
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidSynthConfig(str(exc)) from None
+        if not isinstance(raw, dict):
+            raise InvalidSynthConfig("the config must be a JSON object")
         for key in ("isolation_corr", "sociability_corr"):
             if key in raw:
-                raw[key] = tuple(tuple(float(v) for v in row) for row in raw[key])
+                try:
+                    raw[key] = tuple(tuple(float(v) for v in row) for row in raw[key])
+                except (TypeError, ValueError):
+                    raise InvalidSynthConfig(f"{key} must be a 10x10 list of numbers") from None
         for key in ("isolation_mean", "sociability_mean"):
             if key in raw:
-                raw[key] = tuple(float(v) for v in raw[key])
-        return SynthConfig(**raw)
+                try:
+                    raw[key] = tuple(float(v) for v in raw[key])
+                except (TypeError, ValueError):
+                    raise InvalidSynthConfig(f"{key} must be a list of 10 numbers") from None
+        try:
+            return SynthConfig(**raw)
+        except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
+            raise InvalidSynthConfig(str(exc)) from None
     kwargs = dict(
         n_days=args.days,
         seed=args.seed,
@@ -346,12 +361,7 @@ def _synth_config_from_args(args) -> SynthConfig:
 
 
 def cmd_synth(args) -> int:
-    try:
-        cfg = _synth_config_from_args(args)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: invalid synth config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    ds = generate(cfg)
+    ds = generate(_synth_config_from_args(args))
     write_participant(ds, Path(args.out))
     print(f"wrote {len(ds.dates)} days ({ds.usable_days} reported EMAs) to {args.out}")
     return EXIT_OK
@@ -458,6 +468,8 @@ def main(argv=None) -> int:
         print(f"error: not UTF-8 text ({exc.reason}): {args.input}", file=sys.stderr)
     except InvalidConfig as exc:
         print(f"error: invalid permutation config: {exc}", file=sys.stderr)
+    except InvalidSynthConfig as exc:
+        print(f"error: invalid synth config: {exc}", file=sys.stderr)
     except InvalidFlag as exc:
         print(f"error: {exc}", file=sys.stderr)
     except InsufficientPool as exc:

@@ -7,6 +7,14 @@ every few days but each response also describes the days just before it, so
 a reported EMA is copied back onto up to two preceding calendar days that lack
 their own report. Days left without an EMA after backfill are excluded from
 all analysis.
+
+Parsing has two paths with one result. A file exactly as write_participant
+writes it (the header verbatim; each row a date, ten scores or ten empty
+cells, six plain counts; LF or CRLF line ends) is decoded in bulk, with one
+regular expression over the whole text. Any other file, valid or not, goes
+through the row loop, which alone decides what is valid and words every
+SchemaViolation; the bulk path only ever accepts what the row loop accepts,
+with the same dataset.
 """
 
 from __future__ import annotations
@@ -154,15 +162,80 @@ def _parse_count(raw: str, row: int, feature: str) -> int:
     return v
 
 
+_HEADER = ",".join(CSV_COLUMNS)
+# One body line as write_participant writes it: a date, ten scores or ten
+# empty cells, six counts of at most 19 digits (MAX_COUNT's length, which
+# keeps every cell within int()'s and the csv module's limits), LF or CRLF.
+_WRITTEN_LINE = re.compile(
+    r"^([0-9]{4}-[0-9]{2}-[0-9]{2}),((?:[0-3],){%d}|,{%d})" % (len(EMA_ITEMS), len(EMA_ITEMS))
+    + ",".join(["([0-9]{0,19})"] * len(SENSOR_FEATURES))
+    + r"\r?$",
+    re.MULTILINE,
+)
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
 def parse_participant(path, participant_id: str | None = None) -> ParticipantDataset:
     """Parse one participant CSV into a date-sorted dataset.
 
-    Malformed rows raise SchemaViolation with the offending row and column;
-    nothing is silently dropped.
+    A file in write_participant's own form is decoded in bulk; every other
+    file goes through the row loop, the only judge of what is valid and of
+    every error message. Malformed rows raise SchemaViolation with the
+    offending row and column, the first in file order; nothing is silently
+    dropped.
     """
     path = pathlib.Path(path)
     if participant_id is None:
         participant_id = path.stem
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = ""  # the row loop reports any schema error ahead of the bad byte
+    ds = _decode_written_form(text, participant_id)
+    return ds if ds is not None else _parse_rows(path, participant_id)
+
+
+def _decode_written_form(text: str, participant_id: str) -> ParticipantDataset | None:
+    """The dataset of a file in write_participant's own form, equal to the row
+    loop's; None for any other file, valid or not."""
+    header, _, body = text.partition("\n")
+    if header.removesuffix("\r") != _HEADER or not body.endswith("\n"):
+        return None
+    lines = _WRITTEN_LINE.findall(body)
+    if len(lines) != body.count("\n"):  # some line is not in the written form
+        return None
+    # Not numpy's date parser, which also takes 'today' and year 0; ordinals
+    # convert to datetime64 about ten times faster than date objects.
+    try:
+        ordinals = [dt.date.fromisoformat(line[0]).toordinal() for line in lines]
+    except ValueError:
+        return None
+    counts = [int(c) if c else NOT_MEASURED for line in lines for c in line[2:]]
+    if max(counts) > MAX_COUNT:
+        return None
+    dates = (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    order = np.argsort(dates)
+    dates = dates[order]
+    if np.any(dates[1:] == dates[:-1]):
+        return None
+    n = len(lines)
+    reported = np.array([len(line[1]) > len(EMA_ITEMS) for line in lines], dtype=bool)
+    # An empty EMA group is commas only, so dropping commas leaves the reported rows' digits.
+    digits = "".join(line[1] for line in lines).replace(",", "").encode("ascii")
+    ema = np.zeros((n, len(EMA_ITEMS)), dtype=np.int8)
+    ema[reported] = np.frombuffer(digits, dtype=np.uint8).reshape(-1, len(EMA_ITEMS)) - ord("0")
+    return ParticipantDataset(
+        participant_id=participant_id,
+        dates=dates,
+        ema=ema[order],
+        ema_source=np.where(reported, REPORTED, NO_EMA).astype(np.int8)[order],
+        sensors=np.array(counts, dtype=np.int64).reshape(n, len(SENSOR_FEATURES))[order],
+    )
+
+
+def _parse_rows(path: pathlib.Path, participant_id: str) -> ParticipantDataset:
+    """The row loop: every file's validity and every SchemaViolation."""
     # utf-8-sig also accepts a file saved with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = _rows(fh)

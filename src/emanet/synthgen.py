@@ -71,7 +71,11 @@ class SynthConfig:
         if not 0.0 <= self.missing_sensor_rate <= 1.0:
             raise InvalidConfig("missing_sensor_rate must be in [0, 1]")
         for name in ("isolation_corr", "sociability_corr"):
-            _validate_corr(np.asarray(getattr(self, name), dtype=float), name)
+            try:
+                corr = np.asarray(getattr(self, name), dtype=float)
+            except ValueError:  # ragged rows
+                raise InvalidConfig(f"{name} must be {_N_ITEMS}x{_N_ITEMS}") from None
+            _validate_corr(corr, name)
         for name in ("isolation_mean", "sociability_mean"):
             if len(getattr(self, name)) != _N_ITEMS:
                 raise InvalidConfig(f"{name} must have {_N_ITEMS} entries")
@@ -86,6 +90,8 @@ def _validate_corr(m: np.ndarray, name: str) -> None:
         raise InvalidConfig(f"{name} must be symmetric")
     if not np.allclose(np.diag(m), 1.0, atol=1e-12):
         raise InvalidConfig(f"{name} must have unit diagonal")
+    if not np.isfinite(m).all():
+        raise InvalidConfig(f"{name} entries must be finite")
     if np.linalg.eigvalsh(m).min() < -1e-8:
         raise InvalidConfig(f"{name} must be positive semidefinite")
 

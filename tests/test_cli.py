@@ -232,6 +232,15 @@ BAD_INPUTS = [
                  "invalid synth config: report_cadence must be an integer, got 2.5", id="synth-float-cadence"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{nan_mean}"],
                  "invalid synth config: isolation_mean entries must be finite", id="synth-nan-mean"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "nope.json"], "error: file not found: nope.json",
+                 id="synth-config-missing"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{dir}"], "error: Is a directory: d",
+                 id="synth-config-directory"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{binary}"],
+                 "error: invalid synth config: 'utf-8' codec can't decode byte 0xff", id="synth-config-binary"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{int_corr}"],
+                 "error: invalid synth config: isolation_corr must be a 10x10 list of numbers",
+                 id="synth-config-int-corr"),
 ]
 
 # One --config file per case; json writes float("nan") as NaN, which json.loads reads back.
@@ -241,6 +250,7 @@ SYNTH_CONFIGS = {
     "float_seed": {"n_days": 10, "seed": 1.5},
     "float_cadence": {"n_days": 10, "report_cadence": 2.5},
     "nan_mean": {"n_days": 10, "isolation_mean": [float("nan")] + [0.0] * 9},
+    "int_corr": {"n_days": 10, "isolation_corr": 5},
 }
 
 
@@ -249,9 +259,10 @@ def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path
     monkeypatch.chdir(tmp_path)
     for name, cfg in SYNTH_CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     (tmp_path / "d").mkdir()
     names = {"csv": str(planted_csv), "latin1": str(_not_utf8(planted_csv, tmp_path / "latin1.csv")),
-             "dir": "d", "out": "out", **{name: f"{name}.json" for name in SYNTH_CONFIGS}}
+             "dir": "d", "out": "out", "binary": "binary.json", **{name: f"{name}.json" for name in SYNTH_CONFIGS}}
     rc = main([a.format(**names) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

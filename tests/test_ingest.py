@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from daytable import assert_same, sources, table
+from emanet import ingest
 from emanet.contexts import ContextSpec, eligibility
 from emanet.ingest import CSV_COLUMNS, MAX_COUNT, REPORTED, SchemaViolation, backfill_emas, parse_participant, write_participant
 
@@ -134,6 +135,46 @@ class TestParse:
         write_participant(ds, out)
         ds2 = parse_participant(out, participant_id=ds.participant_id)
         assert_same(ds2, ds)
+
+
+class TestBulkDecode:
+    """Files in write_participant's own form skip the row loop, with its result."""
+
+    def test_prefixed_line_is_left_to_the_row_loop(self, tmp_path):
+        row = full_row(day(4))
+        row[0] = "x" + row[0]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(make_csv(tmp_path, [row]))
+        assert str(exc.value) == "row 1, column 'date': unparseable date: 'x2023-01-05'"
+
+    def test_schema_error_before_a_late_bad_byte(self, tmp_path):
+        rows = [full_row(day(i)) for i in range(600)]
+        rows[2][1:11] = [1, 4, 1, 1, 1, 1, 1, 1, 1, 1]
+        path = make_csv(tmp_path, rows)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert path.stat().st_size > 16 * 1024
+        with pytest.raises(SchemaViolation) as exc:
+            parse_participant(path)
+        assert str(exc.value) == "row 3, column 'ema_social': EMA score 4 outside 0..3"
+
+    def test_crlf_and_lf_files_take_the_bulk_path(self, tmp_path, monkeypatch):
+        rows = [
+            full_row(day(3), sensors=["", "2", "0", "", "1", str(MAX_COUNT)]),
+            full_row(day(0)),
+            full_row(day(1), ema=[0, 1, 2, 3, 0, 1, 2, 3, 0, 1]),
+        ]
+        lf = make_csv(tmp_path, rows)
+        crlf = tmp_path / "p02.csv"
+        write_participant(parse_participant(lf), crlf)
+        assert b"\r\n" in crlf.read_bytes() and b"\r" not in lf.read_bytes()
+        expected = {path: ingest._parse_rows(path, "p") for path in (lf, crlf)}
+
+        def row_loop(path, participant_id):
+            raise AssertionError(f"row loop ran on {path.name}")
+
+        monkeypatch.setattr(ingest, "_parse_rows", row_loop)
+        for path, ds in expected.items():
+            assert_same(parse_participant(path, "p"), ds)
 
 
 class TestBackfill:

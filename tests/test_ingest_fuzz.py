@@ -5,13 +5,22 @@ database, so every run checks the same inputs and stores none.
 """
 
 import datetime as dt
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daytable import assert_same, table
-from emanet.ingest import CSV_COLUMNS, ParticipantDataset, SchemaViolation, parse_participant, write_participant
+from emanet.ingest import (
+    CSV_COLUMNS,
+    ParticipantDataset,
+    SchemaViolation,
+    _parse_rows,
+    parse_participant,
+    write_participant,
+)
 
 FUZZ = settings(derandomize=True, max_examples=200, database=None, deadline=None)
 
@@ -85,3 +94,81 @@ def test_any_bytes_give_a_dataset_or_a_named_error(data, scratch):
 def test_write_then_parse_round_trips(ds, scratch):
     write_participant(ds, scratch)
     assert_same(parse_participant(scratch, participant_id="fuzz"), ds)
+
+
+def _lines(text, i, edit):
+    """text with its line i % (number of lines) replaced by edit(line)."""
+    lines = text.split("\r\n")
+    i %= len(lines)
+    return "\r\n".join(lines[:i] + [edit(lines[i])] + lines[i + 1 :])
+
+
+def _cells(line, k, edit):
+    """line with its cell k % (number of cells) replaced by edit(cell)."""
+    cells = line.split(",")
+    k %= len(cells)
+    return ",".join(cells[:k] + [edit(cells[k])] + cells[k + 1 :])
+
+
+def _duplicate_date(text, i, k):
+    """text with the date of body line k copied onto body line i."""
+    lines = text.split("\r\n")
+    body = range(1, len(lines) - 1)
+    if not body:
+        return text
+    date = lines[body[k % len(body)]][:10]
+    return _lines(text, body[i % len(body)], lambda line: date + line[10:])
+
+
+# The mutations of a written file: (text, line index i, cell or character
+# index k, a character c) -> text. Each gives a file that the bulk decoder must
+# leave to the row loop, or one that both read alike.
+MUTATIONS = {
+    "none": lambda text, i, k, c: text,
+    "char-before-line": lambda text, i, k, c: _lines(text, i, lambda line: c + line),
+    "char-after-line": lambda text, i, k, c: _lines(text, i, lambda line: line + c),
+    "leading-zero": lambda text, i, k, c: _lines(text, i, lambda line: _cells(line, k, lambda cell: "0" + cell)),
+    "space": lambda text, i, k, c: _lines(text, i, lambda line: _cells(line, k, lambda cell: " " + cell)),
+    "quote": lambda text, i, k, c: _lines(text, i, lambda line: _cells(line, k, lambda cell: '"' + cell)),
+    "blank-line": lambda text, i, k, c: _lines(text, i, lambda line: "\r\n" + line),
+    "no-final-newline": lambda text, i, k, c: text.removesuffix("\r\n"),
+    "lone-cr": lambda text, i, k, c: text[: k % len(text)] + "\r" + text[k % len(text) :],
+    "duplicate-date": lambda text, i, k, c: _duplicate_date(text, i, k),
+    "count-2^63": lambda text, i, k, c: _lines(text, i, lambda line: _cells(line, 11 + k % 6, lambda _: str(2**63))),
+    "bom": lambda text, i, k, c: "\ufeff" + text,
+    "lf": lambda text, i, k, c: text.replace("\r\n", "\n"),
+}
+
+
+def _written(ds, i, k, c):
+    """write_participant's file for ds under each mutation, as bytes by mutation name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "w.csv"
+        write_participant(ds, path)
+        text = path.read_bytes().decode("utf-8")
+    return {name: mutate(text, i, k, c).encode("utf-8") for name, mutate in MUTATIONS.items()}
+
+
+WRITTEN = st.builds(
+    _written, DATASETS, st.integers(0, 30), st.integers(0, 600), st.sampled_from(["x", "0", "-", ",", "é"])
+)
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path, "fuzz")
+    except (SchemaViolation, UnicodeDecodeError) as exc:
+        return exc
+
+
+@FUZZ
+@given(data=st.binary(max_size=300) | CSV_TEXT, written=WRITTEN)
+def test_bulk_decoder_agrees_with_the_row_loop(data, written, scratch):
+    for name, case in [("data", data), *written.items()]:
+        scratch.write_bytes(case)
+        bulk, rows = _outcome(parse_participant, scratch), _outcome(_parse_rows, scratch)
+        if isinstance(rows, ParticipantDataset):
+            assert isinstance(bulk, ParticipantDataset), (name, bulk)
+            assert_same(bulk, rows)
+        else:
+            assert (type(bulk), str(bulk)) == (type(rows), str(rows)), name
