@@ -5,10 +5,12 @@ item pair counted once, diagonal excluded. Networks can be exported as JSON
 (verbatim matrix) or Graphviz DOT (display-thresholded, signed edge colors).
 
 One kernel computes every network, alone or in a (B, n_days, k) stack of
-integer scores: co-moments n·Σxy − Σx·Σy are exact in int64 (no BLAS, no
-summation order), each r is one correctly rounded division, and connectivity
-adds the pair correlations left to right in np.triu_indices order. So a
-network has the same bits alone, in any batch and on any numpy/BLAS build.
+integer scores. The co-moments n·Σxy − Σx·Σy are float64 matmuls of integer
+values whose every product and partial sum is an integer below 2^53, so BLAS
+computes them exactly whatever its summation order, blocking or FMA use. Each
+r is one correctly rounded division, and connectivity adds the pair
+correlations left to right in np.triu_indices order. So a network has the
+same bits alone, in any batch and on any numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ ITEM_CODES = {
 
 DOT_EDGE_THRESHOLD = 0.1
 
-# Scores with n²·max|x|² up to this keep every int64 co-moment, and its cast
-# to float64, exact.
+# Scores with n²·max|x|² up to this keep every product, partial sum and
+# co-moment of the float64 kernel an exact integer.
 MAX_EXACT_MOMENT = 2**52
 
 
@@ -102,10 +104,10 @@ def _correlations(stack: np.ndarray) -> np.ndarray:
     n = stack.shape[-2]
     if n * n * max(int(stack.max()), -int(stack.min())) ** 2 > MAX_EXACT_MOMENT:
         raise ValueError("scores too large for exact integer moments")
-    x = stack.astype(np.int64, copy=False)
-    sums = x.sum(axis=-2)
-    cm = n * np.matmul(np.swapaxes(x, -1, -2), x) - sums[..., :, None] * sums[..., None, :]
-    var = np.diagonal(cm, axis1=-2, axis2=-1).astype(float)
+    x = stack.astype(float)
+    sums = np.ones(n) @ x
+    cm = n * (np.swapaxes(x, -1, -2) @ x) - sums[..., :, None] * sums[..., None, :]
+    var = np.diagonal(cm, axis1=-2, axis2=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = cm / np.sqrt(var[..., :, None] * var[..., None, :])
     zero = var == 0

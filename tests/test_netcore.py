@@ -8,6 +8,7 @@ import pytest
 
 from emanet.netcore import (
     ALL10,
+    MAX_EXACT_MOMENT,
     NEGATIVE_ONLY,
     POSITIVE_ONLY,
     CorrelationNetwork,
@@ -161,6 +162,28 @@ class TestKernel:
                 matrix = correlation_matrix(np.asarray(rows))
                 assert all(matrix[i, j] == matrix[j, i] == r for (i, j), r in pairs.items())
                 assert upper_triangle_sum(matrix) == conn == total
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_exact_at_the_moment_limit(self, n):
+        top = 2 ** 26 // n  # n²·top² == MAX_EXACT_MOMENT: the largest scores the kernel accepts
+        assert n * n * top * top == MAX_EXACT_MOMENT
+        rng = random.Random(n)
+        stack = []
+        for _ in range(4):
+            columns = [
+                [rng.choice((-top, top)) for _ in range(n)],
+                [top] * (n - 1) + [-top],
+                [-top] * n,
+                [rng.randint(-top, top) for _ in range(n)],
+                [rng.choice((0, top)) for _ in range(n)],
+            ]
+            stack.append([list(row) for row in zip(*columns)])
+        batched = connectivities(np.asarray(stack, dtype=np.int64))
+        for rows, conn in zip(stack, batched):
+            pairs, total = python_network(rows)
+            matrix = correlation_matrix(np.asarray(rows, dtype=np.int64))
+            assert all(matrix[i, j] == matrix[j, i] == r for (i, j), r in pairs.items())
+            assert upper_triangle_sum(matrix) == conn == total
 
     def test_perfect_and_constant_columns_are_exact(self):
         t = [0, 1, 2, 3, 1, 2, 0]
