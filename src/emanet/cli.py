@@ -29,6 +29,7 @@ from .contexts import (
 from .ingest import SchemaViolation, backfill_emas, parse_participant, write_participant
 from .netcore import ItemSubset, export_network, pearson_network
 from .permtest import (
+    SAMPLER,
     InsufficientPool,
     InvalidConfig,
     PermutationConfig,
@@ -146,6 +147,7 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_d
         "config": {
             "n_permutations": cfg.n_permutations,
             "sample_size": cfg.sample_size,
+            "sampler": SAMPLER,
             "seed": cfg.seed,
             "subset": subset_flag,
         },
@@ -226,6 +228,7 @@ def analyze_participant(
             "subset": subset_flag,
             "n_permutations": permutations,
             "sample_size": sample_size,
+            "sampler": SAMPLER,
             "emit_differences": emit_differences,
             "verbose_indices": verbose_indices,
         },
@@ -323,6 +326,14 @@ def cmd_cohort(args) -> int:
     return EXIT_OK
 
 
+def _json_number(value) -> float:
+    """value as a float if it is a JSON number, else TypeError: a string that
+    float() would parse, and a bool, which Python counts as an int, are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)  # OverflowError past the float range
+
+
 def _synth_config_from_args(args) -> SynthConfig:
     if args.config:
         try:
@@ -334,15 +345,21 @@ def _synth_config_from_args(args) -> SynthConfig:
         for key in ("isolation_corr", "sociability_corr"):
             if key in raw:
                 try:
-                    raw[key] = tuple(tuple(float(v) for v in row) for row in raw[key])
-                except (TypeError, ValueError):
+                    raw[key] = tuple(tuple(_json_number(v) for v in row) for row in raw[key])
+                except (TypeError, OverflowError):
                     raise InvalidSynthConfig(f"{key} must be a 10x10 list of numbers") from None
         for key in ("isolation_mean", "sociability_mean"):
             if key in raw:
                 try:
-                    raw[key] = tuple(float(v) for v in raw[key])
-                except (TypeError, ValueError):
+                    raw[key] = tuple(_json_number(v) for v in raw[key])
+                except (TypeError, OverflowError):
                     raise InvalidSynthConfig(f"{key} must be a list of 10 numbers") from None
+        for key in ("context_mix", "missing_sensor_rate"):
+            if key in raw:
+                try:
+                    _json_number(raw[key])
+                except (TypeError, OverflowError):
+                    raise InvalidSynthConfig(f"{key} must be a number, got {raw[key]!r}") from None
         try:
             return SynthConfig(**raw)
         except TypeError as exc:  # an unknown or missing key, or a value of the wrong type

@@ -7,6 +7,12 @@ disjoint samples from the unfiltered pool instead. Context and baseline
 difference distributions are compared with a paired-sample t-test, paired by
 permutation index.
 
+Samples are drawn BLOCK iterations at a time by one vectorized pass of Floyd's
+algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9), 1987), which
+costs O(sample size) per row whatever the pool size. Which days an iteration
+draws depends on BLOCK, so the CLI records the sampler id SAMPLER with each
+run's config.
+
 Caveat, also printed in report footers: the iterations resample heavily
 overlapping day sets, so the t-test's independence assumptions are only
 approximate; the procedure is reproduced as published.
@@ -27,9 +33,11 @@ from .stats import LengthMismatch
 
 BASELINE_STREAM = "baseline"
 
-# Iterations per kernel pass: enough to amortise numpy call overhead, few
-# enough that peak RSS stays flat (all 2000 in one pass raised it by half).
+# Iterations per draw and kernel pass: enough to amortise numpy call overhead,
+# few enough that peak RSS stays flat (all 2000 in one pass raised it by half).
+# The block shapes the generator calls, so changing BLOCK changes every output.
 BLOCK = 64
+SAMPLER = f"floyd-block-{BLOCK}"
 
 
 class InsufficientPool(ValueError):
@@ -106,24 +114,45 @@ def ema_matrix(ds: ParticipantDataset, rows, subset: ItemSubset) -> np.ndarray:
     return ds.ema[rows][:, subset.indices]
 
 
-def _run(feature: str, a: np.ndarray, b: np.ndarray, draw, rng, cfg: PermutationConfig, log_indices: bool) -> PermutationRun:
+def _subsets(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """m independent uniform k-subsets of range(n), one per (m, k) row.
+
+    Floyd's algorithm vectorized over rows: step s draws v in [0, n-k+s] and
+    takes n-k+s instead when v is already in the row. Rows hold distinct
+    values in insertion order, which is not a uniformly random order.
+    """
+    hi = np.arange(n - k, n)
+    v = rng.integers(0, hi + 1, size=(m, k))
+    for s in range(1, k):
+        v[(v[:, :s] == v[:, s, None]).any(axis=1), s] = hi[s]
+    return v
+
+
+def _disjoint_halves(rng: np.random.Generator, n: int, k: int, m: int) -> tuple:
+    """m pairs of disjoint uniform k-subsets of range(n), as two (m, k) arrays:
+    one 2k-subset per row, shuffled out of Floyd's insertion order, then split."""
+    idx = rng.permuted(_subsets(rng, n, 2 * k, m), axis=1)
+    return idx[:, :k], idx[:, k:]
+
+
+def _run(feature: str, a: np.ndarray, b: np.ndarray, draw, cfg: PermutationConfig, log_indices: bool) -> PermutationRun:
     """Record connectivity(a[idx_a]) - connectivity(b[idx_b]) per iteration.
 
-    draw(rng) returns one index sample into each of a and b. Samplers sort
-    their samples so the float result depends only on the day set: a sample
-    covering the whole pool is bit-identical every iteration. Iterations are
-    drawn in order and their networks computed BLOCK at a time; the kernel
-    gives every network the same bits in any block.
+    draw(m) returns the next m iterations' index samples into a and b as two
+    (m, sample_size) arrays. Each sample is sorted so the float result depends
+    only on the day set: a sample covering the whole pool is bit-identical
+    every iteration. Blocks are drawn in order, BLOCK iterations at a time, and
+    the kernel gives every network the same bits in any block.
     """
     differences = []
     indices_log = [] if log_indices else None
     for start in range(0, cfg.n_permutations, BLOCK):
-        draws = [draw(rng) for _ in range(min(BLOCK, cfg.n_permutations - start))]
-        idx_a, idx_b = (np.stack(side) for side in zip(*draws))
+        m = min(BLOCK, cfg.n_permutations - start)
+        idx_a, idx_b = (np.sort(idx, axis=1) for idx in draw(m))
         conn = connectivities(np.concatenate((a[idx_a], b[idx_b])))
-        differences += (conn[: len(draws)] - conn[len(draws) :]).tolist()
+        differences += (conn[:m] - conn[m:]).tolist()
         if indices_log is not None:
-            indices_log += [(tuple(ia.tolist()), tuple(ib.tolist())) for ia, ib in draws]
+            indices_log += zip(map(tuple, idx_a.tolist()), map(tuple, idx_b.tolist()))
     return PermutationRun(
         feature=feature,
         config=cfg,
@@ -155,11 +184,11 @@ def run_context_permutation(
     if rng is None:
         rng = child_rng(cfg.seed, pools.feature)
 
-    def draw(rng):
-        idx_iso = np.sort(rng.choice(iso.shape[0], size=cfg.sample_size, replace=False))
-        return idx_iso, np.sort(rng.choice(soc.shape[0], size=cfg.sample_size, replace=False))
+    def draw(m):
+        idx_iso = _subsets(rng, iso.shape[0], cfg.sample_size, m)
+        return idx_iso, _subsets(rng, soc.shape[0], cfg.sample_size, m)
 
-    return _run(pools.feature, iso, soc, draw, rng, cfg, log_indices)
+    return _run(pools.feature, iso, soc, draw, cfg, log_indices)
 
 
 def run_baseline_permutation(
@@ -171,9 +200,9 @@ def run_baseline_permutation(
 ) -> PermutationRun:
     """Same procedure on the unfiltered pool: two disjoint samples per iteration.
 
-    One combined draw of 2*sample_size days is split in half; the difference is
-    sample1 minus sample2, which makes the distribution symmetric around 0 by
-    construction.
+    One combined draw of 2*sample_size days is shuffled into a random order
+    and split in half; the difference is sample1 minus sample2, which makes
+    the distribution symmetric around 0 by construction.
     """
     data = ema_matrix(ds, pool, cfg.subset)
     need = 2 * cfg.sample_size
@@ -182,11 +211,10 @@ def run_baseline_permutation(
     if rng is None:
         rng = child_rng(cfg.seed, BASELINE_STREAM)
 
-    def draw(rng):
-        idx = rng.choice(data.shape[0], size=need, replace=False)
-        return np.sort(idx[: cfg.sample_size]), np.sort(idx[cfg.sample_size :])
+    def draw(m):
+        return _disjoint_halves(rng, data.shape[0], cfg.sample_size, m)
 
-    return _run(BASELINE_STREAM, data, data, draw, rng, cfg, log_indices)
+    return _run(BASELINE_STREAM, data, data, draw, cfg, log_indices)
 
 
 def paired_t_test(xs, ys) -> SummaryStats:

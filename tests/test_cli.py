@@ -241,6 +241,24 @@ BAD_INPUTS = [
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{int_corr}"],
                  "error: invalid synth config: isolation_corr must be a 10x10 list of numbers",
                  id="synth-config-int-corr"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{string_corr}"],
+                 "error: invalid synth config: isolation_corr must be a 10x10 list of numbers",
+                 id="synth-config-string-corr"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{bool_corr}"],
+                 "error: invalid synth config: sociability_corr must be a 10x10 list of numbers",
+                 id="synth-config-bool-corr"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{string_mean}"],
+                 "error: invalid synth config: isolation_mean must be a list of 10 numbers",
+                 id="synth-config-string-mean"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{huge_mean}"],
+                 "error: invalid synth config: sociability_mean must be a list of 10 numbers",
+                 id="synth-config-huge-int-mean"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{bool_mix}"],
+                 "error: invalid synth config: context_mix must be a number, got True",
+                 id="synth-config-bool-mix"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{string_rate}"],
+                 "error: invalid synth config: missing_sensor_rate must be a number, got '0.1'",
+                 id="synth-config-string-rate"),
 ]
 
 # One --config file per case; json writes float("nan") as NaN, which json.loads reads back.
@@ -251,6 +269,13 @@ SYNTH_CONFIGS = {
     "float_cadence": {"n_days": 10, "report_cadence": 2.5},
     "nan_mean": {"n_days": 10, "isolation_mean": [float("nan")] + [0.0] * 9},
     "int_corr": {"n_days": 10, "isolation_corr": 5},
+    # Strings float() would parse, and bools, which Python counts as ints, are not JSON numbers.
+    "string_corr": {"n_days": 30, "isolation_corr": [("0" * i + "1").ljust(10, "0") for i in range(10)]},
+    "bool_corr": {"n_days": 30, "sociability_corr": [[i == j for j in range(10)] for i in range(10)]},
+    "string_mean": {"n_days": 30, "isolation_mean": "0000000000"},
+    "huge_mean": {"n_days": 30, "sociability_mean": [10**400] + [0] * 9},
+    "bool_mix": {"n_days": 30, "context_mix": True},
+    "string_rate": {"n_days": 30, "missing_sensor_rate": "0.1"},
 }
 
 

@@ -1,4 +1,6 @@
+import collections
 import datetime as dt
+import itertools
 import math
 import random
 
@@ -11,12 +13,15 @@ from emanet.contexts import ContextSpec, baseline_pool, categorize
 from emanet.ingest import backfill_emas
 from emanet.netcore import ALL10, POSITIVE_ONLY, correlation_matrix, upper_triangle_sum
 from emanet.permtest import (
+    BLOCK,
     ConfigMismatch,
     InsufficientPool,
     InvalidConfig,
     PermutationConfig,
     PermutationRun,
     SummaryStats,
+    _disjoint_halves,
+    _subsets,
     child_rng,
     compare_to_baseline,
     ema_matrix,
@@ -46,6 +51,32 @@ def dataset_with_pools(n_iso, n_soc, seed=0, floor_items=()):
 
 def pools_for(ds):
     return categorize(ds, ContextSpec("locations_visited"))
+
+
+def floyd_block(rng, n, k, m):
+    """The sampler's recipe for one block, a row at a time: draw v[s] in
+    [0, n-k+s] for each step s, and take n-k+s when v[s] is already chosen."""
+    rows = []
+    for draws in rng.integers(0, np.arange(n - k, n) + 1, size=(m, k)).tolist():
+        row = []
+        for s, v in enumerate(draws):
+            row.append(n - k + s if v in row else v)
+        rows.append(row)
+    return rows
+
+
+def chi2_bound(df, p=1e-6):
+    """x with P(chi2_df > x) = p, from mpmath's regularized upper incomplete gamma."""
+    q = lambda x: mpmath.log(mpmath.gammainc(mpmath.mpf(df) / 2, x / 2, regularized=True) / p)
+    return float(mpmath.findroot(q, 3 * df))
+
+
+def chi2_uniform(observed, cells):
+    """Pearson chi-square of the observed cell labels against equal counts over cells."""
+    counts = collections.Counter(observed)
+    assert set(counts) <= set(cells)
+    expected = len(observed) / len(cells)
+    return sum((counts[cell] - expected) ** 2 / expected for cell in cells)
 
 
 class TestConfig:
@@ -124,19 +155,32 @@ class TestContextRun:
         pools = pools_for(ds)
         ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
         base = run_baseline_permutation(ds, baseline_pool(ds), cfg, log_indices=True)
+        blocks = [min(BLOCK, cfg.n_permutations - start) for start in range(0, cfg.n_permutations, BLOCK)]
         rng = child_rng(cfg.seed, pools.feature)
         expected = []
-        for _ in range(cfg.n_permutations):
-            iso = np.sort(rng.choice(40, size=25, replace=False))
-            expected.append((tuple(iso.tolist()), tuple(np.sort(rng.choice(50, size=25, replace=False)).tolist())))
+        for m in blocks:
+            iso = floyd_block(rng, 40, 25, m)
+            expected += [(tuple(sorted(a)), tuple(sorted(b))) for a, b in zip(iso, floyd_block(rng, 50, 25, m))]
         assert ctx.sampled_indices == tuple(expected)
         rng = child_rng(cfg.seed, "baseline")
         expected = []
-        for _ in range(cfg.n_permutations):
-            idx = rng.choice(90, size=50, replace=False)
-            expected.append((tuple(np.sort(idx[:25]).tolist()), tuple(np.sort(idx[25:]).tolist())))
+        for m in blocks:
+            rows = rng.permuted(np.asarray(floyd_block(rng, 90, 50, m)), axis=1).tolist()
+            expected += [(tuple(sorted(row[:25])), tuple(sorted(row[25:]))) for row in rows]
         assert base.sampled_indices == tuple(expected)
 
+    def test_sampled_rows_are_sorted_distinct_and_in_range(self):
+        ds = dataset_with_pools(26, 60, seed=27)
+        cfg = PermutationConfig(subset=ALL10, n_permutations=200, seed=28, sample_size=13)
+        pools, pool = pools_for(ds), baseline_pool(ds)
+        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
+        base = run_baseline_permutation(ds, pool, cfg, log_indices=True)
+        for run, n_a, n_b in ((ctx, 26, 60), (base, 86, 86)):
+            for row_a, row_b in run.sampled_indices:
+                for row, n in ((row_a, n_a), (row_b, n_b)):
+                    assert len(row) == cfg.sample_size
+                    assert all(x < y for x, y in zip(row, row[1:]))
+                    assert 0 <= row[0] and row[-1] < n
     def test_difference_bounds(self):
         ds = dataset_with_pools(40, 40, seed=6)
         for subset, bound in ((ALL10, 90.0), (POSITIVE_ONLY, 20.0)):
@@ -150,6 +194,28 @@ class TestContextRun:
         run = run_context_permutation(ds, pools_for(ds), cfg)
         assert run.stats.mean == pytest.approx(float(np.mean(run.differences)), abs=1e-10)
         assert run.stats.std == pytest.approx(float(np.std(run.differences, ddof=1)), abs=1e-10)
+
+
+class TestSampler:
+    # Bounds are the chi-square quantile at p = 1e-6 for len(cells) - 1 degrees of freedom.
+    def test_subsets_are_uniform(self):
+        rows = _subsets(np.random.default_rng(29), 6, 3, 20_000)
+        cells = list(itertools.combinations(range(6), 3))
+        assert chi2_uniform([tuple(sorted(row)) for row in rows.tolist()], cells) < chi2_bound(len(cells) - 1)
+
+    def test_disjoint_halves_are_uniform_ordered_pairs(self):
+        first, second = _disjoint_halves(np.random.default_rng(30), 5, 1, 20_000)
+        cells = list(itertools.permutations(range(5), 2))
+        pairs = list(zip(first[:, 0].tolist(), second[:, 0].tolist()))
+        assert chi2_uniform(pairs, cells) < chi2_bound(len(cells) - 1)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (7, 7), (300, 25), (3650, 50)])
+    def test_subset_rows_are_distinct_and_in_range(self, n, k):
+        rows = _subsets(np.random.default_rng(n + k), n, k, 500)
+        assert rows.shape == (500, k)
+        assert rows.min() >= 0 and rows.max() < n
+        ordered = np.sort(rows, axis=1)
+        assert np.all(ordered[:, 1:] > ordered[:, :-1])
 
 
 class TestBaselineRun:
