@@ -67,8 +67,11 @@ def floyd_block(rng, n, k, m):
 
 def chi2_bound(df, p=1e-6):
     """x with P(chi2_df > x) = p, from mpmath's regularized upper incomplete gamma."""
-    q = lambda x: mpmath.log(mpmath.gammainc(mpmath.mpf(df) / 2, x / 2, regularized=True) / p)
-    return float(mpmath.findroot(q, 3 * df))
+
+    def log_tail_over_p(x):
+        return mpmath.log(mpmath.gammainc(mpmath.mpf(df) / 2, x / 2, regularized=True) / p)
+
+    return float(mpmath.findroot(log_tail_over_p, 3 * df))
 
 
 def chi2_uniform(observed, cells):
