@@ -84,8 +84,7 @@ def machine_p(p: float) -> float:
 
 
 def _t_cell(t: float) -> str:
-    if math.isinf(t):
-        return "inf" if t > 0 else "-inf"
+    """t to 2 decimals; an infinite t reads "inf" or "-inf", in tables and run.json."""
     return f"{t:.2f}"
 
 
@@ -155,7 +154,7 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_d
     }
     if comparison is not None:
         payload["comparison"] = {
-            "t_score": comparison.test.t_score if not math.isinf(comparison.test.t_score) else ("inf" if comparison.test.t_score > 0 else "-inf"),
+            "t_score": _t_cell(t) if math.isinf(t := comparison.test.t_score) else t,
             "p_value": machine_p(comparison.test.p_value),
             "df": comparison.test.df,
             "baseline": {"mean": comparison.baseline.mean, "std": comparison.baseline.std},
@@ -273,13 +272,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    indir = Path(args.inputs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = sorted(indir.glob("*.csv"))
-    rows = []
-    excluded = []
-    for f in files:
+    rows, excluded = [], []
+    for f in sorted(Path(args.inputs).glob("*.csv")):
         pid = f.stem
         try:
             comparison = analyze_participant(

@@ -106,7 +106,6 @@ class EligibilityReport:
     feature: str
     isolation_days: int
     sociability_days: int
-    min_days_per_category: int
     eligible: bool
     limiting_category: str | None
 
@@ -127,7 +126,6 @@ def eligibility(ds: ParticipantDataset, ctx: ContextSpec, min_days_per_category:
         feature=ctx.feature,
         isolation_days=n_iso,
         sociability_days=n_soc,
-        min_days_per_category=min_days_per_category,
         eligible=eligible,
         limiting_category=limiting,
     )

@@ -15,6 +15,7 @@ same bits alone, in any batch and on any numpy/BLAS build.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -145,15 +146,21 @@ def pearson_network(ema: np.ndarray, subset: ItemSubset) -> CorrelationNetwork:
     )
 
 
+@functools.cache
+def _pairs(k: int) -> tuple:
+    """np.triu_indices(k, 1), built once per k and read-only, as callers share it."""
+    i, j = np.triu_indices(k, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def upper_triangle_sum(matrix: np.ndarray):
-    """Sum of strictly-upper-triangle entries (each pair once, no diagonal) of a
-    matrix or of each matrix in a (..., k, k) stack, added left to right: the
-    same bits alone and in any stack, which numpy's pairwise .sum() is not."""
-    i, j = np.triu_indices(matrix.shape[-1], k=1)
+    """Sum of strictly-upper-triangle entries (each pair once, no diagonal; 0 if k < 2)
+    of a matrix or of each matrix in a (..., k, k) stack, added left to right by
+    np.add.accumulate: the same bits alone and in any stack, unlike pairwise .sum()."""
+    i, j = _pairs(matrix.shape[-1])
     pairs = np.asarray(matrix, dtype=float)[..., i, j]
-    total = np.zeros(pairs.shape[:-1])
-    for p in range(pairs.shape[-1]):
-        total += pairs[..., p]
+    total = np.add.accumulate(pairs, axis=-1)[..., -1] if len(i) else np.zeros(pairs.shape[:-1])
     return total if total.ndim else float(total)
 
 

@@ -118,13 +118,18 @@ def _subsets(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
     """m independent uniform k-subsets of range(n), one per (m, k) row.
 
     Floyd's algorithm vectorized over rows: step s draws v in [0, n-k+s] and
-    takes n-k+s instead when v is already in the row. Rows hold distinct
-    values in insertion order, which is not a uniformly random order.
+    takes n-k+s, above every earlier value, when a "taken" mask of m·n bytes
+    (row r at r·n) shows v already in the row. Rows hold distinct values in
+    insertion order, which is not a uniformly random order.
     """
     hi = np.arange(n - k, n)
     v = rng.integers(0, hi + 1, size=(m, k))
-    for s in range(1, k):
-        v[(v[:, :s] == v[:, s, None]).any(axis=1), s] = hi[s]
+    base = np.arange(0, m * n, n)
+    taken = np.zeros(m * n, dtype=bool)
+    for s in range(k):
+        col = v[:, s]
+        col[taken[base + col]] = hi[s]
+        taken[base + col] = True
     return v
 
 

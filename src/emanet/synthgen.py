@@ -25,6 +25,7 @@ DISCRETIZE_THRESHOLDS = (-0.6744897501960817, 0.0, 0.6744897501960817)
 START_DATE = dt.date(2023, 1, 1)
 
 _N_ITEMS = len(EMA_ITEMS)
+MAX_DAYS = 10**6  # the most days a config may ask for, checked before any allocation
 
 
 class InvalidConfig(ValueError):
@@ -60,6 +61,8 @@ class SynthConfig:
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_days < 0:
             raise InvalidConfig("n_days must be >= 0")
+        if self.n_days > MAX_DAYS:
+            raise InvalidConfig(f"n_days must be <= {MAX_DAYS}")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
         if self.report_cadence < 1:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from emanet.cli import histogram_csv, main, significance_marker
+from emanet.cli import _run_json, histogram_csv, main, render_table, significance_marker
 from daytable import assert_same
 from emanet.ingest import CSV_COLUMNS, parse_participant
+from emanet.netcore import ALL10
+from emanet.permtest import ComparisonResult, PermutationConfig, PermutationRun, SummaryStats
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,8 @@ BAD_INPUTS = [
                  "seed must be >= 0", id="analyze-negative-seed"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--seed", "-1"], "invalid synth config: seed must be >= 0",
                  id="synth-negative-seed"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--days", "1000000000"],
+                 "invalid synth config: n_days must be <= 1000000", id="synth-days-above-cap"),
     pytest.param(["validate", "{latin1}"], "not UTF-8 text", id="validate-non-utf8"),
     pytest.param(["analyze", "{latin1}", "--context", "locations", "--out", "{out}"],
                  "not UTF-8 text", id="analyze-non-utf8"),
@@ -331,6 +335,19 @@ class TestHelpers:
         assert significance_marker(0.2) == ""
         assert significance_marker(0.001) == "**"
         assert significance_marker(0.05) == ""
+
+    @pytest.mark.parametrize("t, cell, value", [(float("inf"), "inf", "inf"), (float("-inf"), "-inf", "-inf"),
+                                                (-2.5, "-2.50", -2.5)])
+    def test_t_is_spelled_alike_in_table_and_run_json(self, t, cell, value):
+        stats = SummaryStats(mean=0.0, std=0.0)
+        test = SummaryStats(mean=1.0, std=0.0, t_score=t, p_value=0.0, df=9)
+        comparison = ComparisonResult(baseline=stats, context=stats, test=test)
+        row = render_table("p01", "locations_visited", "all", comparison).splitlines()[4]
+        assert row.split()[-2:] == [cell, "*"]
+        cfg = PermutationConfig(subset=ALL10, n_permutations=10)
+        run = PermutationRun("locations_visited", cfg, (0.0,) * 10, stats)
+        payload = json.loads(_run_json("p01", "locations_visited", "all", cfg, run, comparison, False, False))
+        assert payload["comparison"]["t_score"] == value
 
     def test_histogram_degenerate_distributions(self):
         csv = histogram_csv([1.0] * 10, [1.0] * 10)

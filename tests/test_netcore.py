@@ -223,6 +223,13 @@ class TestConnectivity:
     def test_all_ones(self):
         assert connectivity(network_with(1.0)) == pytest.approx(45.0)
 
+    def test_fewer_than_two_items_sum_to_zero(self):
+        assert upper_triangle_sum(np.zeros((0, 0))) == 0.0
+        one = upper_triangle_sum(np.ones((1, 1)))
+        assert type(one) is float and one == 0.0
+        stack = upper_triangle_sum(np.ones((3, 1, 1)))
+        assert stack.shape == (3,) and not stack.any()
+
     def test_two_summation_orders_agree(self):
         rng = np.random.default_rng(3)
         m = rng.uniform(-1, 1, size=(5, 5))

@@ -1,5 +1,6 @@
 import collections
 import datetime as dt
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 from daytable import table
 from emanet.contexts import ContextSpec, baseline_pool, categorize
 from emanet.ingest import backfill_emas
-from emanet.netcore import ALL10, POSITIVE_ONLY, correlation_matrix, upper_triangle_sum
+from emanet.netcore import ALL10, POSITIVE_ONLY, connectivities, correlation_matrix, upper_triangle_sum
 from emanet.permtest import (
     BLOCK,
     ConfigMismatch,
@@ -219,6 +220,29 @@ class TestSampler:
         assert rows.min() >= 0 and rows.max() < n
         ordered = np.sort(rows, axis=1)
         assert np.all(ordered[:, 1:] > ordered[:, :-1])
+        assert rows.tolist() == floyd_block(np.random.default_rng(n + k), n, k, 500)
+
+    def test_block_draws_and_connectivities_are_pinned(self):
+        """One context and one baseline block of the default streams, and their
+        connectivities, to the bit: a change of stream, sampler or summation
+        order must fail here, not pass unnoticed."""
+        ds = dataset_with_pools(150, 150, seed=31)
+        iso = ema_matrix(ds, pools_for(ds).isolation_days, ALL10)
+        data = ema_matrix(ds, baseline_pool(ds), ALL10)
+        ctx = np.sort(_subsets(child_rng(0, "locations_visited"), 150, 25, BLOCK), axis=1)
+        first, second = (np.sort(idx, axis=1) for idx in _disjoint_halves(child_rng(0, "baseline"), 300, 25, BLOCK))
+        blocks = (
+            ctx.astype("<i8"),
+            np.concatenate((first, second), axis=1).astype("<i8"),
+            connectivities(iso[ctx]).astype("<f8"),
+            connectivities(np.concatenate((data[first], data[second]))).astype("<f8"),
+        )
+        assert [hashlib.sha256(block.tobytes()).hexdigest() for block in blocks] == [
+            "421e76208de4997477030feefb9c509f1c380e1ab99fd6f4f8a0a89557941c0b",
+            "8d73bb7d115e040c28fe51312fe292b82212c2e86321afa28f8fea0087844d1a",
+            "af9e9395b231c8605ec6fb69ff87003aece6c60640ce8572ce361372c8315558",
+            "6ade48e7344fc0f7c1cf0cf09551f1b4b2deb8079763fb76ada8a48b9ab14e4a",
+        ]
 
 
 class TestBaselineRun:
