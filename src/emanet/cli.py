@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -167,36 +168,26 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_d
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def analyze_participant(
-    input_path: Path,
-    context_flag: str,
-    subset_flag: str,
-    seed: int,
-    permutations: int,
-    sample_size: int,
-    outdir: Path,
-    emit_differences: bool = False,
-    verbose_indices: bool = False,
-    stream_prefix: str = "",
-):
-    """Full single-participant pipeline; writes all artifacts into outdir.
+def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str = ""):
+    """Full single-participant pipeline under the run flags of args (see
+    _add_run_flags); writes all artifacts into outdir.
 
     Returns the ComparisonResult. Raises SchemaViolation or InsufficientPool.
     """
     ds = backfill_emas(parse_participant(input_path))
-    ctx = ContextSpec.from_flag(context_flag)
-    if ctx.is_baseline:
-        raise ValueError("analyze requires a non-baseline context; the baseline run is built automatically")
-    subset = ItemSubset.from_flag(subset_flag)
-    cfg = PermutationConfig(subset=subset, n_permutations=permutations, sample_size=sample_size, seed=seed)
+    ctx = ContextSpec.from_flag(args.context)
+    subset = ItemSubset.from_flag(args.subset)
+    cfg = PermutationConfig(
+        subset=subset, n_permutations=args.permutations, sample_size=args.sample_size, seed=args.seed
+    )
 
     pools = categorize(ds, ctx)
     pool = baseline_pool(ds)
     ctx_run = run_context_permutation(
-        ds, pools, cfg, rng=child_rng(seed, stream_prefix + ctx.feature), log_indices=verbose_indices
+        ds, pools, cfg, rng=child_rng(args.seed, stream_prefix + ctx.feature), log_indices=args.verbose_indices
     )
     base_run = run_baseline_permutation(
-        ds, pool, cfg, rng=child_rng(seed, stream_prefix + BASELINE), log_indices=verbose_indices
+        ds, pool, cfg, rng=child_rng(args.seed, stream_prefix + BASELINE), log_indices=args.verbose_indices
     )
     comparison = compare_to_baseline(ctx_run, base_run)
 
@@ -207,29 +198,30 @@ def analyze_participant(
         (outdir / name).write_text(text, encoding="utf-8")
         outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    emit("run.json", _run_json(ds.participant_id, ctx.feature, subset_flag, cfg, ctx_run, comparison, emit_differences, verbose_indices))
-    emit("baseline.json", _run_json(ds.participant_id, BASELINE, subset_flag, cfg, base_run, None, emit_differences, verbose_indices))
+    flags = (args.emit_differences, args.verbose_indices)
+    emit("run.json", _run_json(ds.participant_id, ctx.feature, args.subset, cfg, ctx_run, comparison, *flags))
+    emit("baseline.json", _run_json(ds.participant_id, BASELINE, args.subset, cfg, base_run, None, *flags))
     emit("histogram.csv", histogram_csv(base_run.differences, ctx_run.differences))
     # Presentation networks use ALL days in each category, not 25-day samples.
     for category, rows in (("isolation", pools.isolation_days), ("sociability", pools.sociability_days)):
         net = pearson_network(ds.ema[rows], subset)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
-    emit("table.txt", render_table(ds.participant_id, ctx.feature, subset_flag, comparison))
+    emit("table.txt", render_table(ds.participant_id, ctx.feature, args.subset, comparison))
 
     manifest = {
         "tool_version": __version__,
-        "master_seed": seed,
+        "master_seed": args.seed,
         "inputs": {input_path.name: _sha256(input_path)},
         "config": {
             "command": "analyze",
-            "context": context_flag,
-            "subset": subset_flag,
-            "n_permutations": permutations,
-            "sample_size": sample_size,
+            "context": args.context,
+            "subset": args.subset,
+            "n_permutations": args.permutations,
+            "sample_size": args.sample_size,
             "sampler": SAMPLER,
-            "emit_differences": emit_differences,
-            "verbose_indices": verbose_indices,
+            "emit_differences": args.emit_differences,
+            "verbose_indices": args.verbose_indices,
         },
         "outputs": outputs,
     }
@@ -256,40 +248,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analyze_participant(
-        Path(args.input),
-        args.context,
-        args.subset,
-        args.seed,
-        args.permutations,
-        args.sample_size,
-        Path(args.out),
-        emit_differences=args.emit_differences,
-        verbose_indices=args.verbose_indices,
-    )
+    analyze_participant(args, Path(args.input), Path(args.out))
     print((Path(args.out) / "table.txt").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 
 def cmd_cohort(args) -> int:
+    os.scandir(args.inputs).close()  # a missing path or a file raises its OSError before any output
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, excluded = [], []
     for f in sorted(Path(args.inputs).glob("*.csv")):
         pid = f.stem
         try:
-            comparison = analyze_participant(
-                f,
-                args.context,
-                args.subset,
-                args.seed,
-                args.permutations,
-                args.sample_size,
-                outdir / pid,
-                emit_differences=args.emit_differences,
-                verbose_indices=args.verbose_indices,
-                stream_prefix=pid + "/",
-            )
+            comparison = analyze_participant(args, f, outdir / pid, stream_prefix=pid + "/")
         except SchemaViolation as exc:
             excluded.append((pid, f"schema violation: {exc}"))
         except InsufficientPool as exc:
@@ -322,14 +294,6 @@ def cmd_cohort(args) -> int:
     return EXIT_OK
 
 
-def _json_number(value) -> float:
-    """value as a float if it is a JSON number, else TypeError: a string that
-    float() would parse, and a bool, which Python counts as an int, are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)  # OverflowError past the float range
-
-
 def _synth_config_from_args(args) -> SynthConfig:
     if args.config:
         try:
@@ -338,27 +302,9 @@ def _synth_config_from_args(args) -> SynthConfig:
             raise InvalidSynthConfig(str(exc)) from None
         if not isinstance(raw, dict):
             raise InvalidSynthConfig("the config must be a JSON object")
-        for key in ("isolation_corr", "sociability_corr"):
-            if key in raw:
-                try:
-                    raw[key] = tuple(tuple(_json_number(v) for v in row) for row in raw[key])
-                except (TypeError, OverflowError):
-                    raise InvalidSynthConfig(f"{key} must be a 10x10 list of numbers") from None
-        for key in ("isolation_mean", "sociability_mean"):
-            if key in raw:
-                try:
-                    raw[key] = tuple(_json_number(v) for v in raw[key])
-                except (TypeError, OverflowError):
-                    raise InvalidSynthConfig(f"{key} must be a list of 10 numbers") from None
-        for key in ("context_mix", "missing_sensor_rate"):
-            if key in raw:
-                try:
-                    _json_number(raw[key])
-                except (TypeError, OverflowError):
-                    raise InvalidSynthConfig(f"{key} must be a number, got {raw[key]!r}") from None
         try:
             return SynthConfig(**raw)
-        except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
+        except TypeError as exc:  # an unknown or missing key
             raise InvalidSynthConfig(str(exc)) from None
     kwargs = dict(
         n_days=args.days,
@@ -401,6 +347,9 @@ def cmd_export_network(args) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
+    """The flags of analyze and cohort, which analyze_participant reads."""
+    p.add_argument("--context", choices=[c for c in CONTEXT_FLAGS if c != "baseline"], required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--subset", choices=("all", "positive", "negative"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permutations", type=int, default=2000)
@@ -419,19 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-days", type=int, default=25)
     p.set_defaults(func=cmd_validate)
 
-    context_choices = [c for c in CONTEXT_FLAGS if c != "baseline"]
-
     p = sub.add_parser("analyze", help="run one context's permutation analysis end to end")
     p.add_argument("input")
-    p.add_argument("--context", choices=context_choices, required=True)
-    p.add_argument("--out", required=True)
     _add_run_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cohort", help="analyze every participant CSV in a directory")
     p.add_argument("inputs")
-    p.add_argument("--context", choices=context_choices, required=True)
-    p.add_argument("--out", required=True)
     _add_run_flags(p)
     p.set_defaults(func=cmd_cohort)
 

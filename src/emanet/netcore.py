@@ -70,10 +70,6 @@ class ItemSubset:
     def labels(self) -> tuple:
         return tuple(ITEM_CODES[EMA_ITEMS[i]] for i in self.indices)
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
 
 ALL10 = ItemSubset("all", tuple(range(10)))
 POSITIVE_ONLY = ItemSubset("positive", (0, 1, 2, 3, 4))
@@ -188,8 +184,8 @@ def network_to_json(net: CorrelationNetwork) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def network_to_dot(net: CorrelationNetwork, threshold: float = DOT_EDGE_THRESHOLD) -> str:
-    """Render an undirected weighted graph; display-only edge threshold.
+def network_to_dot(net: CorrelationNetwork) -> str:
+    """Render an undirected weighted graph; display-only edge threshold DOT_EDGE_THRESHOLD.
 
     Edge width scales as 1 + 4|r|; blue for positive correlations, red for
     negative. The underlying matrix is never thresholded, only this view.
@@ -201,7 +197,7 @@ def network_to_dot(net: CorrelationNetwork, threshold: float = DOT_EDGE_THRESHOL
     for i in range(k):
         for j in range(i + 1, k):
             r = float(net.matrix[i, j])
-            if abs(r) < threshold:
+            if abs(r) < DOT_EDGE_THRESHOLD:
                 continue
             color = "blue" if r > 0 else "red"
             width = 1.0 + 4.0 * abs(r)

@@ -4,20 +4,20 @@ Days are assigned a category (isolation or sociability) per sensor feature.
 EMA scores come from a latent multivariate normal whose correlation matrix
 depends on the planted feature's category on the report day, discretized onto
 the 0-3 scale at standard-normal quartile boundaries (equiprobable levels).
-The discretization attenuates latent correlations; ground_truth() prices that
-in exactly, from the discretized correlations of each category's latent model
-(Plackett's identity, one quadrature per item pair), with no sampling.
+The discretization attenuates latent correlations; the test suite's oracle
+(tests/synth_oracle.py) prices that in exactly.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import EMA_ITEMS, NO_EMA, NOT_MEASURED, REPORTED, SENSOR_FEATURES, ParticipantDataset
-from .netcore import ALL10, POSITIVE_ONLY, ItemSubset, upper_triangle_sum
+from .netcore import POSITIVE_ONLY
 
 # Standard normal quartiles: equiprobable mapping onto {0, 1, 2, 3}.
 DISCRETIZE_THRESHOLDS = (-0.6744897501960817, 0.0, 0.6744897501960817)
@@ -30,6 +30,14 @@ MAX_DAYS = 10**6  # the most days a config may ask for, checked before any alloc
 
 class InvalidConfig(ValueError):
     """Synthetic configuration violates its invariants."""
+
+
+def _real(value) -> float:
+    """value as a float if it is a real number, else TypeError: a bool, which
+    Python counts as an int, and a string that float() would parse are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)  # OverflowError past the float range
 
 
 def correlated_block(r: float, indices=POSITIVE_ONLY.indices) -> tuple:
@@ -56,6 +64,14 @@ class SynthConfig:
     missing_sensor_rate: float = 0.0
 
     def __post_init__(self):
+        # Cell types first: a config with several faults names a cell before a range.
+        for name in ("isolation_corr", "sociability_corr"):
+            self._store_reals(name, lambda m: tuple(tuple(map(_real, row)) for row in m),
+                              f"a {_N_ITEMS}x{_N_ITEMS} list of numbers")
+        for name in ("isolation_mean", "sociability_mean"):
+            self._store_reals(name, lambda v: tuple(map(_real, v)), f"a list of {_N_ITEMS} numbers")
+        for name in ("context_mix", "missing_sensor_rate"):
+            self._store_reals(name, _real, f"a number, got {getattr(self, name)!r}")
         for name in ("n_days", "seed", "report_cadence"):
             if type(getattr(self, name)) is not int:  # bool is not an integer here
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -82,8 +98,16 @@ class SynthConfig:
         for name in ("isolation_mean", "sociability_mean"):
             if len(getattr(self, name)) != _N_ITEMS:
                 raise InvalidConfig(f"{name} must have {_N_ITEMS} entries")
-            if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
+            if not np.isfinite(getattr(self, name)).all():
                 raise InvalidConfig(f"{name} entries must be finite")
+
+    def _store_reals(self, name: str, convert, shape: str) -> None:
+        """Replace field name by convert(value), its cells as floats, or raise
+        InvalidConfig("name must be <shape>")."""
+        try:
+            object.__setattr__(self, name, convert(getattr(self, name)))
+        except (TypeError, OverflowError):
+            raise InvalidConfig(f"{name} must be {shape}") from None
 
 
 def _validate_corr(m: np.ndarray, name: str) -> None:
@@ -163,40 +187,3 @@ def generate(cfg: SynthConfig) -> ParticipantDataset:
         ema_source=ema_source,
         sensors=sensors,
     )
-
-
-def discretized_correlation(corr: tuple, mean: tuple) -> np.ndarray:
-    """Exact correlation matrix of the 0-3 scores of latents N(mean, corr).
-
-    Item i's thresholds sit at h_i = DISCRETIZE_THRESHOLDS - mean_i. By Plackett's
-    identity (Biometrika 41, 1954), cov(i, j) is the sum over a in h_i, b in h_j
-    of the integral of phi2(a, b; r) dr from 0 to rho_ij; var(i) is that at rho = 1.
-    With r = sin t the integrand is exp(-(a² - 2ab·sin t + b²) / (2cos²t)) / 2π,
-    smooth, and one 64-node Gauss-Legendre rule gives r to ~1e-13.
-    """
-    rho = np.array(corr, dtype=float)
-    np.fill_diagonal(rho, 1.0)
-    h = np.subtract(DISCRETIZE_THRESHOLDS, np.asarray(mean, dtype=float)[:, None])
-    a, b = h[:, None, :, None, None], h[None, :, None, :, None]
-    t_max = np.arcsin(np.clip(rho, -1.0, 1.0))
-    # Built per call: numpy.polynomial at module level would cost every CLI run ~1.6 MB.
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    t = (t_max[..., None] * ((nodes + 1) / 2))[:, :, None, None, :]
-    f = np.exp(-(a * a - 2 * a * b * np.sin(t) + b * b) / (2 * np.cos(t) ** 2))
-    cov = (f * (weights / 2)).sum(axis=(-3, -2, -1)) * t_max / (2 * np.pi)
-    var = np.diagonal(cov)
-    r = np.clip(cov / np.sqrt(var[:, None] * var[None, :]), -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
-    return r
-
-
-def ground_truth(cfg: SynthConfig, subset: ItemSubset = ALL10) -> float:
-    """Expected connectivity difference (isolation minus sociability).
-
-    Exact: each category's discretized correlations, at its own latent means,
-    so Likert coarsening attenuation is priced into the planted effect.
-    """
-    idx = np.ix_(subset.indices, subset.indices)
-    r_iso = discretized_correlation(cfg.isolation_corr, cfg.isolation_mean)[idx]
-    r_soc = discretized_correlation(cfg.sociability_corr, cfg.sociability_mean)[idx]
-    return upper_triangle_sum(r_iso) - upper_triangle_sum(r_soc)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,20 @@ class TestAnalyze:
         assert rc == 3
         assert "need 25" in capsys.readouterr().err
 
+    def test_whole_run_is_pinned(self, planted_csv, tmp_path, capsys):
+        # manifest.json holds the sha256 of every other artifact; a change that alters
+        # any output byte on purpose re-pins this digest.
+        out = tmp_path / "pin"
+        assert main(["analyze", str(planted_csv), "--context", "locations", "--permutations", "200",
+                     "--emit-differences", "--verbose-indices", "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        for name, digest in json.loads(manifest)["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "76f6c1cf0f405c48c88485b130dd5113f3662bca71cb68f9cb4214cfea6ae66d"
+        )
+        assert capsys.readouterr().out == (out / "table.txt").read_text(encoding="utf-8")
+
     def test_histogram_counts_sum(self, planted_csv, tmp_path, capsys):
         out = tmp_path / "h"
         assert main(["analyze", str(planted_csv), "--context", "locations",
@@ -137,6 +152,12 @@ class TestCohort:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["cohort", str(empty), "--context", "locations", "--out", str(tmp_path / "o")]) == 2
+        capsys.readouterr()
+
+    def test_input_path_not_a_directory_writes_nothing(self, planted_csv, tmp_path, capsys):
+        for inputs in (tmp_path / "nope", planted_csv):
+            assert main(["cohort", str(inputs), "--context", "locations", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         capsys.readouterr()
 
 
@@ -224,6 +245,10 @@ BAD_INPUTS = [
     pytest.param(["export-network", "{dir}", "--context", "locations"], "Is a directory",
                  id="export-directory"),
     pytest.param(["validate", "./{dir}/nope.csv"], "file not found: ./", id="validate-missing"),
+    pytest.param(["cohort", "nope", "--context", "locations", "--out", "{out}"], "error: file not found: nope",
+                 id="cohort-missing-dir"),
+    pytest.param(["cohort", "{csv}", "--context", "locations", "--out", "{out}"], "error: Not a directory: ",
+                 id="cohort-file-as-dir"),
     pytest.param(["export-network", "{csv}", "--context", "locations", "--out", "{dir}/no/such/net.dot"],
                  "file not found: ", id="export-missing-out-dir"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{cfg}"], "invalid synth config: ",

@@ -6,16 +6,8 @@ from emanet import synthgen
 from daytable import assert_same, sources
 from emanet.ingest import NOT_MEASURED, REPORTED, backfill_emas, parse_participant, write_participant
 from emanet.netcore import POSITIVE_ONLY, correlation_matrix
-from emanet.synthgen import (
-    DISCRETIZE_THRESHOLDS,
-    InvalidConfig,
-    SynthConfig,
-    correlated_block,
-    discretize,
-    discretized_correlation,
-    generate,
-    ground_truth,
-)
+from emanet.synthgen import DISCRETIZE_THRESHOLDS, InvalidConfig, SynthConfig, correlated_block, discretize, generate
+from synth_oracle import discretized_correlation, ground_truth
 
 
 def test_generate_is_deterministic():
@@ -63,6 +55,30 @@ def test_invalid_configs():
         SynthConfig(n_days=-1)
     with pytest.raises(InvalidConfig):
         SynthConfig(n_days=10, context_mix=1.5)
+
+
+IDENTITY_OF_BOOLS = tuple(tuple(i == j for j in range(10)) for i in range(10))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("isolation_mean", ("0",) * 10, "isolation_mean must be a list of 10 numbers"),
+    ("isolation_mean", (True,) * 10, "isolation_mean must be a list of 10 numbers"),
+    ("sociability_corr", IDENTITY_OF_BOOLS, "sociability_corr must be a 10x10 list of numbers"),
+    ("context_mix", "0.5", "context_mix must be a number, got '0.5'"),
+    ("missing_sensor_rate", True, "missing_sensor_rate must be a number, got True"),
+], ids=["string-mean", "bool-mean", "bool-corr", "string-mix", "bool-rate"])
+def test_cells_must_be_real_numbers(field, value, message):
+    # The same check and message as `synth --config`: strings float() would parse, and bools, are not numbers.
+    with pytest.raises(InvalidConfig) as excinfo:
+        SynthConfig(n_days=30, **{field: value})
+    assert str(excinfo.value) == message
+
+
+def test_cells_are_stored_as_floats():
+    cfg = SynthConfig(n_days=1, context_mix=1, isolation_mean=[0] * 10, sociability_corr=np.eye(10))
+    for value in (cfg.context_mix, *cfg.isolation_mean, *(v for row in cfg.sociability_corr for v in row)):
+        assert type(value) is float
+    assert cfg.sociability_corr == correlated_block(0.0, ())
 
 
 def test_discretize_thresholds_are_quartiles():
