@@ -27,7 +27,7 @@ from .contexts import (
     categorize,
     eligibility,
 )
-from .ingest import SchemaViolation, backfill_emas, parse_participant, write_participant
+from .ingest import SENSOR_FEATURES, SchemaViolation, backfill_emas, parse_participant, write_participant
 from .netcore import ItemSubset, export_network, pearson_network
 from .permtest import (
     SAMPLER,
@@ -35,9 +35,7 @@ from .permtest import (
     InvalidConfig,
     PermutationConfig,
     child_rng,
-    compare_to_baseline,
-    run_baseline_permutation,
-    run_context_permutation,
+    run_paired,
 )
 from .synthgen import InvalidConfig as InvalidSynthConfig
 from .synthgen import SynthConfig, correlated_block, generate
@@ -182,14 +180,10 @@ def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str
     )
 
     pools = categorize(ds, ctx)
-    pool = baseline_pool(ds)
-    ctx_run = run_context_permutation(
-        ds, pools, cfg, rng=child_rng(args.seed, stream_prefix + ctx.feature), log_indices=args.verbose_indices
+    ctx_run, base_run, comparison = run_paired(
+        ds, pools, baseline_pool(ds), cfg, child_rng(args.seed, stream_prefix + ctx.feature),
+        child_rng(args.seed, stream_prefix + BASELINE), log_indices=args.verbose_indices,
     )
-    base_run = run_baseline_permutation(
-        ds, pool, cfg, rng=child_rng(args.seed, stream_prefix + BASELINE), log_indices=args.verbose_indices
-    )
-    comparison = compare_to_baseline(ctx_run, base_run)
 
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cadence", type=int, default=3)
-    p.add_argument("--feature", choices=list(CONTEXT_FLAGS.values())[:-1], default="locations_visited")
+    p.add_argument("--feature", choices=SENSOR_FEATURES, default="locations_visited")
     p.add_argument("--mix", type=float, default=0.5)
     p.add_argument("--planted-r", type=float, default=0.0, help="latent correlation among positive items in isolation")
     p.add_argument("--null", action="store_true", help="identical correlation targets for both categories")

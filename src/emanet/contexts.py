@@ -68,12 +68,11 @@ def all_context_specs() -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class CategoryPools:
-    """Row indices of the days in each category, and of the days in neither."""
+    """Row indices of the days in each category, in date order."""
 
     feature: str
     isolation_days: np.ndarray
     sociability_days: np.ndarray
-    excluded_days: np.ndarray
 
 
 def categorize(ds: ParticipantDataset, ctx: ContextSpec) -> CategoryPools:
@@ -92,7 +91,6 @@ def categorize(ds: ParticipantDataset, ctx: ContextSpec) -> CategoryPools:
         feature=ctx.feature,
         isolation_days=np.flatnonzero(pooled & (count == 0)),
         sociability_days=np.flatnonzero(pooled & (count > 0)),
-        excluded_days=np.flatnonzero(~pooled),
     )
 
 

@@ -1,11 +1,12 @@
 """Permutation engine: resampled connectivity differences and the paired t-test.
 
-Each iteration draws a fixed-size day sample per category (without replacement
-within the draw, fresh draws across iterations), builds one Pearson network per
-sample, and records the connectivity difference. The baseline run draws two
-disjoint samples from the unfiltered pool instead. Context and baseline
-difference distributions are compared with a paired-sample t-test, paired by
-permutation index.
+Each context iteration draws a fixed-size day sample per category (without
+replacement within the draw, fresh draws across iterations), builds one
+Pearson network per sample, and records the connectivity difference. Each
+baseline iteration draws two disjoint samples from the unfiltered pool
+instead. run_paired draws both sides in one loop, block by block, each from
+its own generator, and compares them with a paired-sample t-test, paired by
+iteration index.
 
 Samples are drawn BLOCK iterations at a time by one vectorized pass of Floyd's
 algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9), 1987), which
@@ -29,9 +30,6 @@ from . import stats
 from .contexts import CategoryPools
 from .ingest import ParticipantDataset
 from .netcore import ItemSubset, connectivities
-from .stats import LengthMismatch
-
-BASELINE_STREAM = "baseline"
 
 # Iterations per draw and kernel pass: enough to amortise numpy call overhead,
 # few enough that peak RSS stays flat (all 2000 in one pass raised it by half).
@@ -50,10 +48,6 @@ class InsufficientPool(ValueError):
 
 class InvalidConfig(ValueError):
     """A PermutationConfig value is out of range."""
-
-
-class ConfigMismatch(ValueError):
-    """Two runs were produced under incompatible configurations."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +77,6 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class PermutationRun:
-    feature: str
-    config: PermutationConfig
     differences: tuple
     stats: SummaryStats
     sampled_indices: tuple | None = None
@@ -140,86 +132,61 @@ def _disjoint_halves(rng: np.random.Generator, n: int, k: int, m: int) -> tuple:
     return idx[:, :k], idx[:, k:]
 
 
-def _run(feature: str, a: np.ndarray, b: np.ndarray, draw, cfg: PermutationConfig, log_indices: bool) -> PermutationRun:
-    """Record connectivity(a[idx_a]) - connectivity(b[idx_b]) per iteration.
-
-    draw(m) returns the next m iterations' index samples into a and b as two
-    (m, sample_size) arrays. Each sample is sorted so the float result depends
-    only on the day set: a sample covering the whole pool is bit-identical
-    every iteration. Blocks are drawn in order, BLOCK iterations at a time, and
-    the kernel gives every network the same bits in any block.
-    """
-    differences = []
-    indices_log = [] if log_indices else None
-    for start in range(0, cfg.n_permutations, BLOCK):
-        m = min(BLOCK, cfg.n_permutations - start)
-        idx_a, idx_b = (np.sort(idx, axis=1) for idx in draw(m))
-        conn = connectivities(np.concatenate((a[idx_a], b[idx_b])))
-        differences += (conn[:m] - conn[m:]).tolist()
-        if indices_log is not None:
-            indices_log += zip(map(tuple, idx_a.tolist()), map(tuple, idx_b.tolist()))
-    return PermutationRun(
-        feature=feature,
-        config=cfg,
-        differences=tuple(differences),
-        stats=SummaryStats(mean=stats.mean(differences), std=stats.sample_std(differences)),
-        sampled_indices=tuple(indices_log) if indices_log is not None else None,
-    )
-
-
-def run_context_permutation(
+def run_paired(
     ds: ParticipantDataset,
     pools: CategoryPools,
+    pool,
     cfg: PermutationConfig,
-    rng: np.random.Generator | None = None,
+    context_rng: np.random.Generator,
+    baseline_rng: np.random.Generator,
     log_indices: bool = False,
-) -> PermutationRun:
-    """Resample both category pools and record connectivity differences.
+) -> tuple:
+    """Context and baseline runs, paired by iteration index, and their t-test.
 
-    Difference sign convention: isolation minus sociability. With log_indices
-    the per-iteration sample positions (into each pool's day list) are kept so
+    Each block of BLOCK iterations draws the isolation and sociability samples
+    from context_rng, then two disjoint halves of one 2*sample_size draw from
+    the unfiltered pool from baseline_rng. Context differences are isolation
+    minus sociability; baseline differences are first half minus second, which
+    makes their distribution symmetric around 0. Each sample is sorted so the
+    float result depends only on the day set: a sample covering the whole pool
+    is bit-identical every iteration. Each side is one kernel pass of 2m
+    networks per block, because one pass of all 4m networks is slower. With
+    log_indices the sample positions (into each pool's day list) are kept so
     every difference can be recomputed after the fact.
+
+    Returns (context_run, baseline_run, ComparisonResult). The t-test takes the
+    baseline first, so t is negative when the context mean exceeds it.
     """
     iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
     soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
-    if iso.shape[0] < cfg.sample_size:
-        raise InsufficientPool("isolation", iso.shape[0], cfg.sample_size)
-    if soc.shape[0] < cfg.sample_size:
-        raise InsufficientPool("sociability", soc.shape[0], cfg.sample_size)
-    if rng is None:
-        rng = child_rng(cfg.seed, pools.feature)
-
-    def draw(m):
-        idx_iso = _subsets(rng, iso.shape[0], cfg.sample_size, m)
-        return idx_iso, _subsets(rng, soc.shape[0], cfg.sample_size, m)
-
-    return _run(pools.feature, iso, soc, draw, cfg, log_indices)
-
-
-def run_baseline_permutation(
-    ds: ParticipantDataset,
-    pool,
-    cfg: PermutationConfig,
-    rng: np.random.Generator | None = None,
-    log_indices: bool = False,
-) -> PermutationRun:
-    """Same procedure on the unfiltered pool: two disjoint samples per iteration.
-
-    One combined draw of 2*sample_size days is shuffled into a random order
-    and split in half; the difference is sample1 minus sample2, which makes
-    the distribution symmetric around 0 by construction.
-    """
     data = ema_matrix(ds, pool, cfg.subset)
-    need = 2 * cfg.sample_size
-    if data.shape[0] < need:
-        raise InsufficientPool("baseline", data.shape[0], need)
-    if rng is None:
-        rng = child_rng(cfg.seed, BASELINE_STREAM)
-
-    def draw(m):
-        return _disjoint_halves(rng, data.shape[0], cfg.sample_size, m)
-
-    return _run(BASELINE_STREAM, data, data, draw, cfg, log_indices)
+    k = cfg.sample_size
+    for category, rows, need in (("isolation", iso, k), ("sociability", soc, k), ("baseline", data, 2 * k)):
+        if len(rows) < need:
+            raise InsufficientPool(category, len(rows), need)
+    sides = ((iso, soc, [], [] if log_indices else None), (data, data, [], [] if log_indices else None))
+    for start in range(0, cfg.n_permutations, BLOCK):
+        m = min(BLOCK, cfg.n_permutations - start)
+        draws = (
+            (_subsets(context_rng, len(iso), k, m), _subsets(context_rng, len(soc), k, m)),
+            _disjoint_halves(baseline_rng, len(data), k, m),
+        )
+        for (a, b, differences, log), draw in zip(sides, draws):
+            idx_a, idx_b = (np.sort(idx, axis=1) for idx in draw)
+            conn = connectivities(np.concatenate((a[idx_a], b[idx_b])))
+            differences += (conn[:m] - conn[m:]).tolist()
+            if log is not None:
+                log += zip(map(tuple, idx_a.tolist()), map(tuple, idx_b.tolist()))
+    context_run, baseline_run = (
+        PermutationRun(
+            differences=tuple(differences),
+            stats=SummaryStats(mean=stats.mean(differences), std=stats.sample_std(differences)),
+            sampled_indices=tuple(log) if log is not None else None,
+        )
+        for _, _, differences, log in sides
+    )
+    test = paired_t_test(baseline_run.differences, context_run.differences)
+    return context_run, baseline_run, ComparisonResult(baseline=baseline_run.stats, context=context_run.stats, test=test)
 
 
 def paired_t_test(xs, ys) -> SummaryStats:
@@ -230,12 +197,10 @@ def paired_t_test(xs, ys) -> SummaryStats:
     Degenerate variance is handled, not raised: all-zero differences give
     t = 0, p = 1; a constant nonzero difference gives signed infinity, p = 0.
     """
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"paired lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 pairs")
-    d = [float(a) - float(b) for a, b in zip(xs, ys)]
+    d = [float(a) - float(b) for a, b in zip(xs, ys, strict=True)]
     d_mean = stats.mean(d)
     d_std = stats.sample_std(d)
     df = n - 1
@@ -247,15 +212,3 @@ def paired_t_test(xs, ys) -> SummaryStats:
     t = d_mean / (d_std / n**0.5)
     return SummaryStats(mean=d_mean, std=d_std, t_score=t, p_value=stats.t_sf(t, df), df=df)
 
-
-def compare_to_baseline(context_run: PermutationRun, baseline_run: PermutationRun) -> ComparisonResult:
-    """Paired t-test of baseline differences against context differences.
-
-    Argument order (baseline first) makes t negative when the context mean
-    exceeds the baseline mean.
-    """
-    ca, cb = context_run.config, baseline_run.config
-    if (ca.n_permutations, ca.sample_size, ca.subset) != (cb.n_permutations, cb.sample_size, cb.subset):
-        raise ConfigMismatch("runs differ in n_permutations, sample_size or subset")
-    test = paired_t_test(baseline_run.differences, context_run.differences)
-    return ComparisonResult(baseline=baseline_run.stats, context=context_run.stats, test=test)

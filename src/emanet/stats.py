@@ -17,10 +17,6 @@ _FPMIN = 1e-300
 _MAX_ITER = 1000
 
 
-class LengthMismatch(ValueError):
-    """Paired inputs have different lengths."""
-
-
 def mean(values) -> float:
     n = len(values)
     if n == 0:

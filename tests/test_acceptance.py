@@ -25,13 +25,7 @@ from emanet.netcore import (
     connectivity_difference,
     pearson_network,
 )
-from emanet.permtest import (
-    PermutationConfig,
-    compare_to_baseline,
-    paired_t_test,
-    run_baseline_permutation,
-    run_context_permutation,
-)
+from emanet.permtest import PermutationConfig, child_rng, paired_t_test, run_paired
 from emanet.synthgen import SynthConfig, correlated_block, generate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -44,11 +38,11 @@ def check(n, desc, cond, detail=""):
 
 
 def analyze_synthetic(ds, seed, subset=ALL10, n_permutations=2000):
+    """The locations context's ComparisonResult, drawn from the streams the CLI names for analyze."""
     pools = categorize(ds, ContextSpec("locations_visited"))
     cfg = PermutationConfig(subset=subset, n_permutations=n_permutations, seed=seed)
-    ctx_run = run_context_permutation(ds, pools, cfg)
-    base_run = run_baseline_permutation(ds, baseline_pool(ds), cfg)
-    return compare_to_baseline(ctx_run, base_run)
+    rngs = (child_rng(seed, "locations_visited"), child_rng(seed, "baseline"))
+    return run_paired(ds, pools, baseline_pool(ds), cfg, *rngs)[2]
 
 
 def test_criterion_1_baseline_near_zero_mean():
@@ -58,14 +52,13 @@ def test_criterion_1_baseline_near_zero_mean():
     for seed in range(10):
         ds = backfill_emas(generate(SynthConfig(n_days=150, seed=seed)))
         assert ds.usable_days >= 100
-        cfg = PermutationConfig(subset=ALL10, n_permutations=2000, seed=seed)
         t0 = time.perf_counter()
-        run = run_baseline_permutation(ds, baseline_pool(ds), cfg)
+        base = analyze_synthetic(ds, seed).baseline
         elapsed = time.perf_counter() - t0
-        bound = 4.0 * run.stats.std / math.sqrt(2000)
-        worst_ratio = max(worst_ratio, abs(run.stats.mean) / bound if bound else 0.0)
+        bound = 4.0 * base.std / math.sqrt(2000)
+        worst_ratio = max(worst_ratio, abs(base.mean) / bound if bound else 0.0)
         worst_elapsed = max(worst_elapsed, elapsed)
-        ok = ok and abs(run.stats.mean) <= bound and elapsed < 10.0
+        ok = ok and abs(base.mean) <= bound and elapsed < 10.0
     check(
         1,
         "baseline |mean| <= 4*sigma/sqrt(2000) over 10 seeds, each run < 10 s",

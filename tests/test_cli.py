@@ -148,6 +148,30 @@ class TestCohort:
         assert n_rows + n_excl == 3
         capsys.readouterr()
 
+    def test_whole_cohort_run_is_pinned(self, tmp_path, capsys):
+        # Cohort runs draw from per-participant streams ("p01/locations_visited", ...);
+        # each manifest.json holds the sha256 of its participant's artifacts.
+        indir = tmp_path / "cohort"
+        indir.mkdir()
+        for pid, seed, extra in (("p01", 31, ["--planted-r", "0.6"]), ("p02", 32, ["--null"]),
+                                 ("p03", 33, ["--planted-r", "0.3", "--days", "120"])):
+            assert main(["synth", "--out", str(indir / f"{pid}.csv"), "--seed", str(seed)] + extra) == 0
+        out = tmp_path / "out"
+        assert main(["cohort", str(indir), "--context", "locations", "--seed", "7", "--permutations", "200",
+                     "--emit-differences", "--verbose-indices", "--out", str(out)]) == 0
+        digests = {}
+        for pid in ("p01", "p02", "p03"):
+            manifest = (out / pid / "manifest.json").read_bytes()
+            for name, digest in json.loads(manifest)["outputs"].items():
+                assert hashlib.sha256((out / pid / name).read_bytes()).hexdigest() == digest, (pid, name)
+            digests[pid] = hashlib.sha256(manifest).hexdigest()
+        assert digests == {
+            "p01": "46ac585852f75734db8abb3c8b9df53bd4a353e33b5326047955db5d95145c45",
+            "p02": "80347253995d93446a0ec9466945ea50e62c0fbb8035c28135e66d035751297f",
+            "p03": "d6ad0d73f273f5a7d0c4ce3cbf59a16bdf90ca10c45f9bd4852108e308e91c18",
+        }
+        capsys.readouterr()
+
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -370,7 +394,7 @@ class TestHelpers:
         row = render_table("p01", "locations_visited", "all", comparison).splitlines()[4]
         assert row.split()[-2:] == [cell, "*"]
         cfg = PermutationConfig(subset=ALL10, n_permutations=10)
-        run = PermutationRun("locations_visited", cfg, (0.0,) * 10, stats)
+        run = PermutationRun((0.0,) * 10, stats)
         payload = json.loads(_run_json("p01", "locations_visited", "all", cfg, run, comparison, False, False))
         assert payload["comparison"]["t_score"] == value
 

@@ -19,13 +19,19 @@ def build(records_spec, score=None):
 
 
 def lists(pools):
-    return pools.isolation_days.tolist(), pools.sociability_days.tolist(), pools.excluded_days.tolist()
+    return pools.isolation_days.tolist(), pools.sociability_days.tolist()
+
+
+def neither(pools, n_days):
+    """Rows of an n_days table that are in neither pool, in order."""
+    pooled = set().union(*lists(pools))
+    return [i for i in range(n_days) if i not in pooled]
 
 
 def test_zero_count_goes_to_isolation():
     ds = build([(0, 1, True)])
     pools = categorize(ds, ContextSpec("locations_visited"))
-    assert lists(pools)[:2] == ([0], [])
+    assert lists(pools) == ([0], [])
 
 
 def test_positive_count_goes_to_sociability():
@@ -37,22 +43,24 @@ def test_positive_count_goes_to_sociability():
 def test_missing_feature_is_excluded():
     ds = build([(1, None, True)])
     pools = categorize(ds, ContextSpec("conversations_detected"))
-    assert lists(pools) == ([], [], [0])
+    assert neither(pools, 1) == [0]
 
 
 def test_no_ema_is_excluded():
     ds = build([(0, 0, False)])
     pools = categorize(ds, ContextSpec("locations_visited"))
-    assert pools.excluded_days.tolist() == [0]
+    assert neither(pools, 1) == [0]
 
 
 def test_partition_invariant():
     spec = [(0, 1, True), (3, None, True), (0, 0, False), (1, 2, True), (None, 1, True)]
     ds = build(spec)
-    for feature in ("locations_visited", "conversations_detected"):
+    for feature, column in (("locations_visited", 0), ("conversations_detected", 1)):
         pools = categorize(ds, ContextSpec(feature))
-        iso, soc, excl = lists(pools)
-        assert sorted(iso + soc + excl) == list(range(len(ds.dates)))
+        iso, soc = lists(pools)
+        assert not set(iso) & set(soc)
+        # A day is in neither pool exactly when it lacks an EMA or the feature.
+        assert neither(pools, len(spec)) == [i for i, row in enumerate(spec) if not row[2] or row[column] is None]
 
 
 def test_categorization_is_pure():

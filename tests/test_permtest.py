@@ -15,22 +15,16 @@ from emanet.ingest import backfill_emas
 from emanet.netcore import ALL10, POSITIVE_ONLY, connectivities, correlation_matrix, upper_triangle_sum
 from emanet.permtest import (
     BLOCK,
-    ConfigMismatch,
     InsufficientPool,
     InvalidConfig,
     PermutationConfig,
-    PermutationRun,
-    SummaryStats,
     _disjoint_halves,
     _subsets,
     child_rng,
-    compare_to_baseline,
     ema_matrix,
     paired_t_test,
-    run_baseline_permutation,
-    run_context_permutation,
+    run_paired,
 )
-from emanet.stats import LengthMismatch
 from emanet import synthgen
 
 D0 = dt.date(2023, 1, 1)
@@ -52,6 +46,14 @@ def dataset_with_pools(n_iso, n_soc, seed=0, floor_items=()):
 
 def pools_for(ds):
     return categorize(ds, ContextSpec("locations_visited"))
+
+
+def paired(ds, cfg, pool=None, log_indices=False):
+    """run_paired on the locations context and the whole baseline pool (or pool),
+    from the streams the CLI names for an analyze run."""
+    pool = baseline_pool(ds) if pool is None else pool
+    return run_paired(ds, pools_for(ds), pool, cfg, child_rng(cfg.seed, "locations_visited"),
+                      child_rng(cfg.seed, "baseline"), log_indices)
 
 
 def floyd_block(rng, n, k, m):
@@ -103,7 +105,7 @@ class TestContextRun:
     def test_degenerate_pools_give_zero_std(self):
         ds = dataset_with_pools(25, 25)
         cfg = PermutationConfig(subset=ALL10, n_permutations=50, seed=1)
-        run = run_context_permutation(ds, pools_for(ds), cfg)
+        run, _, _ = paired(ds, cfg)
         assert len(set(run.differences)) == 1
         assert run.stats.std == 0.0
 
@@ -111,22 +113,28 @@ class TestContextRun:
         ds = dataset_with_pools(24, 40)
         cfg = PermutationConfig(subset=ALL10, n_permutations=5)
         with pytest.raises(InsufficientPool) as exc:
-            run_context_permutation(ds, pools_for(ds), cfg)
+            paired(ds, cfg)
         assert (exc.value.category, exc.value.have, exc.value.need) == ("isolation", 24, 25)
+
+    @pytest.mark.parametrize("n_iso, n_soc, short", [(24, 24, ("isolation", 24, 25)), (30, 10, ("sociability", 10, 25))])
+    def test_pools_are_checked_isolation_sociability_baseline(self, n_iso, n_soc, short):
+        # The baseline pool (n_iso + n_soc days) is short of 50 days as well.
+        ds = dataset_with_pools(n_iso, n_soc)
+        cfg = PermutationConfig(subset=ALL10, n_permutations=5)
+        with pytest.raises(InsufficientPool) as exc:
+            paired(ds, cfg)
+        assert (exc.value.category, exc.value.have, exc.value.need) == short
 
     def test_determinism(self):
         ds = dataset_with_pools(40, 40, seed=3)
         cfg = PermutationConfig(subset=ALL10, n_permutations=30, seed=99)
-        a = run_context_permutation(ds, pools_for(ds), cfg)
-        b = run_context_permutation(ds, pools_for(ds), cfg)
-        assert a.differences == b.differences
-        assert a.stats == b.stats
+        assert paired(ds, cfg) == paired(ds, cfg)
 
     def test_logged_indices_recompute_differences(self):
         ds = dataset_with_pools(40, 40, seed=4)
         cfg = PermutationConfig(subset=ALL10, n_permutations=20, seed=5)
         pools = pools_for(ds)
-        run = run_context_permutation(ds, pools, cfg, log_indices=True)
+        run, _, _ = paired(ds, cfg, log_indices=True)
         iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
         soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
         for diff, (idx_iso, idx_soc) in zip(run.differences, run.sampled_indices):
@@ -140,8 +148,7 @@ class TestContextRun:
         ds = dataset_with_pools(40, 60, seed=23, floor_items=(1, 9))
         cfg = PermutationConfig(subset=ALL10, n_permutations=n_permutations, seed=24)
         pools, pool = pools_for(ds), baseline_pool(ds)
-        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
-        base = run_baseline_permutation(ds, pool, cfg, log_indices=True)
+        ctx, base, _ = paired(ds, cfg, log_indices=True)
         iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
         soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
         data = ema_matrix(ds, pool, cfg.subset)
@@ -156,11 +163,9 @@ class TestContextRun:
     def test_sampled_indices_replay_the_sampler(self):
         ds = dataset_with_pools(40, 50, seed=25)
         cfg = PermutationConfig(subset=ALL10, n_permutations=130, seed=26)
-        pools = pools_for(ds)
-        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
-        base = run_baseline_permutation(ds, baseline_pool(ds), cfg, log_indices=True)
+        ctx, base, _ = paired(ds, cfg, log_indices=True)
         blocks = [min(BLOCK, cfg.n_permutations - start) for start in range(0, cfg.n_permutations, BLOCK)]
-        rng = child_rng(cfg.seed, pools.feature)
+        rng = child_rng(cfg.seed, "locations_visited")
         expected = []
         for m in blocks:
             iso = floyd_block(rng, 40, 25, m)
@@ -176,28 +181,27 @@ class TestContextRun:
     def test_sampled_rows_are_sorted_distinct_and_in_range(self):
         ds = dataset_with_pools(26, 60, seed=27)
         cfg = PermutationConfig(subset=ALL10, n_permutations=200, seed=28, sample_size=13)
-        pools, pool = pools_for(ds), baseline_pool(ds)
-        ctx = run_context_permutation(ds, pools, cfg, log_indices=True)
-        base = run_baseline_permutation(ds, pool, cfg, log_indices=True)
+        ctx, base, _ = paired(ds, cfg, log_indices=True)
         for run, n_a, n_b in ((ctx, 26, 60), (base, 86, 86)):
             for row_a, row_b in run.sampled_indices:
                 for row, n in ((row_a, n_a), (row_b, n_b)):
                     assert len(row) == cfg.sample_size
                     assert all(x < y for x, y in zip(row, row[1:]))
                     assert 0 <= row[0] and row[-1] < n
+
     def test_difference_bounds(self):
         ds = dataset_with_pools(40, 40, seed=6)
         for subset, bound in ((ALL10, 90.0), (POSITIVE_ONLY, 20.0)):
             cfg = PermutationConfig(subset=subset, n_permutations=50, seed=7)
-            run = run_context_permutation(ds, pools_for(ds), cfg)
+            run, _, _ = paired(ds, cfg)
             assert all(abs(d) <= bound for d in run.differences)
 
     def test_stats_recomputable_from_differences(self):
         ds = dataset_with_pools(40, 40, seed=8)
         cfg = PermutationConfig(subset=ALL10, n_permutations=40, seed=9)
-        run = run_context_permutation(ds, pools_for(ds), cfg)
-        assert run.stats.mean == pytest.approx(float(np.mean(run.differences)), abs=1e-10)
-        assert run.stats.std == pytest.approx(float(np.std(run.differences, ddof=1)), abs=1e-10)
+        for run in paired(ds, cfg)[:2]:
+            assert run.stats.mean == pytest.approx(float(np.mean(run.differences)), abs=1e-10)
+            assert run.stats.std == pytest.approx(float(np.std(run.differences, ddof=1)), abs=1e-10)
 
 
 class TestSampler:
@@ -247,28 +251,29 @@ class TestSampler:
 
 class TestBaselineRun:
     def test_insufficient_pool(self):
-        ds = dataset_with_pools(20, 20)
+        # Both context pools pass; the baseline pool given is one day short.
+        ds = dataset_with_pools(25, 25)
         cfg = PermutationConfig(subset=ALL10, n_permutations=5, sample_size=25)
         with pytest.raises(InsufficientPool) as exc:
-            run_baseline_permutation(ds, baseline_pool(ds), cfg)
-        assert exc.value.need == 50
+            paired(ds, cfg, pool=baseline_pool(ds)[1:])
+        assert (exc.value.category, exc.value.have, exc.value.need) == ("baseline", 49, 50)
 
     def test_exact_partition_pool(self):
         ds = dataset_with_pools(25, 25, seed=10)
         cfg = PermutationConfig(subset=ALL10, n_permutations=30, seed=11)
-        run = run_baseline_permutation(ds, baseline_pool(ds), cfg)
+        _, run, _ = paired(ds, cfg)
         assert len(run.differences) == 30
 
     def test_mean_is_small(self):
         ds = dataset_with_pools(80, 80, seed=12)
         cfg = PermutationConfig(subset=ALL10, n_permutations=2000, seed=13)
-        run = run_baseline_permutation(ds, baseline_pool(ds), cfg)
+        _, run, _ = paired(ds, cfg)
         assert abs(run.stats.mean) < 4.0 * run.stats.std / math.sqrt(cfg.n_permutations)
 
     def test_disjoint_samples(self):
         ds = dataset_with_pools(30, 30, seed=14)
         cfg = PermutationConfig(subset=ALL10, n_permutations=10, seed=15)
-        run = run_baseline_permutation(ds, baseline_pool(ds), cfg, log_indices=True)
+        _, run, _ = paired(ds, cfg, log_indices=True)
         for first, second in run.sampled_indices:
             assert not set(first) & set(second)
             assert len(set(first)) == len(first) == cfg.sample_size
@@ -314,33 +319,15 @@ class TestPairedTTest:
         assert ab.p_value == pytest.approx(ba.p_value)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError):
             paired_t_test([1, 2], [1, 2, 3])
 
 
 class TestCompareToBaseline:
-    def test_run_against_itself(self):
-        ds = dataset_with_pools(40, 40, seed=17)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=30, seed=18)
-        run = run_context_permutation(ds, pools_for(ds), cfg)
-        comp = compare_to_baseline(run, run)
-        assert comp.test.t_score == 0.0
-        assert comp.test.p_value == 1.0
-
-    def test_config_mismatch(self):
-        ds = dataset_with_pools(60, 60, seed=19)
-        a = run_context_permutation(ds, pools_for(ds), PermutationConfig(subset=ALL10, n_permutations=10, seed=1))
-        b = run_baseline_permutation(ds, baseline_pool(ds), PermutationConfig(subset=ALL10, n_permutations=20, seed=1))
-        with pytest.raises(ConfigMismatch):
-            compare_to_baseline(a, b)
-
     def test_planted_effect_detected(self):
         cfg = synthgen.SynthConfig(n_days=300, seed=21, isolation_corr=synthgen.correlated_block(0.6))
         ds = backfill_emas(synthgen.generate(cfg))
-        pcfg = PermutationConfig(subset=POSITIVE_ONLY, seed=22)
-        ctx_run = run_context_permutation(ds, pools_for(ds), pcfg)
-        base_run = run_baseline_permutation(ds, baseline_pool(ds), pcfg)
-        comp = compare_to_baseline(ctx_run, base_run)
+        _, _, comp = paired(ds, PermutationConfig(subset=POSITIVE_ONLY, seed=22))
         assert comp.test.p_value < 0.001
         assert comp.test.t_score < 0  # context connectivity above baseline
 
