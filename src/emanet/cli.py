@@ -21,8 +21,6 @@ from .contexts import (
     BASELINE,
     CONTEXT_FLAGS,
     DISPLAY_NAMES,
-    ContextSpec,
-    all_context_specs,
     baseline_pool,
     categorize,
     eligibility,
@@ -173,15 +171,15 @@ def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str
     Returns the ComparisonResult. Raises SchemaViolation or InsufficientPool.
     """
     ds = backfill_emas(parse_participant(input_path))
-    ctx = ContextSpec.from_flag(args.context)
+    feature = CONTEXT_FLAGS[args.context]
     subset = ItemSubset.from_flag(args.subset)
     cfg = PermutationConfig(
         subset=subset, n_permutations=args.permutations, sample_size=args.sample_size, seed=args.seed
     )
 
-    pools = categorize(ds, ctx)
+    pools = categorize(ds, feature)
     ctx_run, base_run, comparison = run_paired(
-        ds, pools, baseline_pool(ds), cfg, child_rng(args.seed, stream_prefix + ctx.feature),
+        ds, pools, baseline_pool(ds), cfg, child_rng(args.seed, stream_prefix + feature),
         child_rng(args.seed, stream_prefix + BASELINE), log_indices=args.verbose_indices,
     )
 
@@ -193,7 +191,7 @@ def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str
         outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     flags = (args.emit_differences, args.verbose_indices)
-    emit("run.json", _run_json(ds.participant_id, ctx.feature, args.subset, cfg, ctx_run, comparison, *flags))
+    emit("run.json", _run_json(ds.participant_id, feature, args.subset, cfg, ctx_run, comparison, *flags))
     emit("baseline.json", _run_json(ds.participant_id, BASELINE, args.subset, cfg, base_run, None, *flags))
     emit("histogram.csv", histogram_csv(base_run.differences, ctx_run.differences))
     # Presentation networks use ALL days in each category, not 25-day samples.
@@ -201,7 +199,7 @@ def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str
         net = pearson_network(ds.ema[rows], subset)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
-    emit("table.txt", render_table(ds.participant_id, ctx.feature, args.subset, comparison))
+    emit("table.txt", render_table(ds.participant_id, feature, args.subset, comparison))
 
     manifest = {
         "tool_version": __version__,
@@ -231,10 +229,10 @@ def cmd_validate(args) -> int:
     print(f"Participant {ds.participant_id}: {len(ds.dates)} days, {ds.usable_days} with EMA")
     print()
     print(f"{'Context':{w}s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
-    for ctx in all_context_specs():
-        rep = eligibility(ds, ctx, args.min_days)
+    for feature in SENSOR_FEATURES:
+        rep = eligibility(ds, feature, args.min_days)
         verdict = "yes" if rep.eligible else f"no (limiting: {rep.limiting_category})"
-        print(f"{DISPLAY_NAMES[ctx.feature]:{w}s}{rep.isolation_days:>10d}{rep.sociability_days:>12d}  {verdict}")
+        print(f"{DISPLAY_NAMES[feature]:{w}s}{rep.isolation_days:>10d}{rep.sociability_days:>12d}  {verdict}")
     n_pool = len(baseline_pool(ds))
     base_ok = "yes" if n_pool >= 2 * args.min_days else "no"
     print(f"{'Baseline (random unfiltered)':{w}s}{n_pool:>10d}{'':>12s}  {base_ok} (needs >= {2 * args.min_days})")
@@ -323,14 +321,14 @@ def cmd_synth(args) -> int:
 def cmd_export_network(args) -> int:
     ds = backfill_emas(parse_participant(Path(args.input)))
     subset = ItemSubset.from_flag(args.subset)
-    ctx = ContextSpec.from_flag(args.context)
-    if ctx.is_baseline:
-        rows = baseline_pool(ds)
+    if args.context == BASELINE:
+        pool, rows = BASELINE, baseline_pool(ds)
     else:
-        pools = categorize(ds, ctx)
-        rows = pools.isolation_days if args.category == "isolation" else pools.sociability_days
+        pools = categorize(ds, CONTEXT_FLAGS[args.context])
+        pool = args.category
+        rows = pools.isolation_days if pool == "isolation" else pools.sociability_days
     if len(rows) < 2:
-        raise InsufficientPool("baseline" if ctx.is_baseline else args.category, len(rows), 2)
+        raise InsufficientPool(pool, len(rows), 2)
     net = pearson_network(ds.ema[rows], subset)
     text = export_network(net, args.format)
     if args.out:
@@ -342,9 +340,9 @@ def cmd_export_network(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser):
     """The flags of analyze and cohort, which analyze_participant reads."""
-    p.add_argument("--context", choices=[c for c in CONTEXT_FLAGS if c != "baseline"], required=True)
+    p.add_argument("--context", choices=list(CONTEXT_FLAGS), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--subset", choices=("all", "positive", "negative"), default="all")
+    p.add_argument("--subset", choices=SUBSET_DISPLAY, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permutations", type=int, default=2000)
     p.add_argument("--sample-size", type=int, default=25)
@@ -387,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-network", help="export an all-day category network as JSON or DOT")
     p.add_argument("input")
-    p.add_argument("--context", choices=list(CONTEXT_FLAGS), required=True)
+    p.add_argument("--context", choices=[*CONTEXT_FLAGS, BASELINE], required=True)
     p.add_argument("--category", choices=("isolation", "sociability"), default="isolation")
-    p.add_argument("--subset", choices=("all", "positive", "negative"), default="all")
+    p.add_argument("--subset", choices=SUBSET_DISPLAY, default="all")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_network)

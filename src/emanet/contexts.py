@@ -1,10 +1,11 @@
 """Behavioral contexts: split EMA-bearing days into isolation vs sociability pools.
 
-Each context is a daily sensor count with a zero/nonzero split: a count of 0
-is a period of social isolation, a count of 1 or more a period of sociability.
-The baseline pseudo-context has no predicates and feeds random unfiltered
-sampling. Pools are arrays of row indices into the participant's day table,
-in date order, computed as masks over its EMA sources and sensor counts.
+A context is a daily sensor count, named by its feature in SENSOR_FEATURES,
+with a zero/nonzero split: a count of 0 is a period of social isolation, a
+count of 1 or more a period of sociability. The baseline is no context but a
+pool of every EMA-bearing day, which feeds random unfiltered sampling. Pools
+are arrays of row indices into the participant's day table, in date order,
+computed as masks over its EMA sources and sensor counts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .ingest import SENSOR_FEATURES, ParticipantDataset
 
 BASELINE = "baseline"
 
-# CLI flag value -> sensor feature (or baseline).
+# CLI flag value -> sensor feature.
 CONTEXT_FLAGS = {
     "locations": "locations_visited",
     "calls_made": "calls_made",
@@ -25,7 +26,6 @@ CONTEXT_FLAGS = {
     "sms_sent": "sms_sent",
     "sms_received": "sms_received",
     "conversations": "conversations_detected",
-    "baseline": BASELINE,
 }
 
 DISPLAY_NAMES = {
@@ -35,60 +35,28 @@ DISPLAY_NAMES = {
     "sms_sent": "Daily Number of SMS Messages Sent",
     "sms_received": "Daily Number of SMS Messages Received",
     "conversations_detected": "Daily Number of Conversations Detected",
-    BASELINE: "Baseline",
 }
-
-
-@dataclass(frozen=True)
-class ContextSpec:
-    """A behavioral feature plus its isolation (== 0) / sociability (>= 1) split."""
-
-    feature: str
-
-    def __post_init__(self):
-        if self.feature != BASELINE and self.feature not in SENSOR_FEATURES:
-            raise ValueError(f"unknown context feature {self.feature!r}")
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.feature == BASELINE
-
-    @classmethod
-    def from_flag(cls, flag: str) -> "ContextSpec":
-        try:
-            return cls(CONTEXT_FLAGS[flag])
-        except KeyError:
-            raise ValueError(f"unknown context flag {flag!r}") from None
-
-
-def all_context_specs() -> tuple:
-    """The six non-baseline contexts in feature order."""
-    return tuple(ContextSpec(f) for f in SENSOR_FEATURES)
 
 
 @dataclass(frozen=True, eq=False)
 class CategoryPools:
     """Row indices of the days in each category, in date order."""
 
-    feature: str
     isolation_days: np.ndarray
     sociability_days: np.ndarray
 
 
-def categorize(ds: ParticipantDataset, ctx: ContextSpec) -> CategoryPools:
-    """Assign every day to a category pool, or exclude it.
+def categorize(ds: ParticipantDataset, feature: str) -> CategoryPools:
+    """Assign every day to a category pool of the context `feature`, or exclude it.
 
     A day is pooled only if it has an EMA (reported or backfilled) and the
-    context's feature was measured that day; a day missing the feature belongs
-    to neither category. Pooling depends only on sensor counts and EMA
-    presence, never on EMA values.
+    feature was measured that day; a day missing the feature belongs to
+    neither category. Pooling depends only on sensor counts and EMA
+    presence, never on EMA values. An unknown feature raises ValueError.
     """
-    if ctx.is_baseline:
-        raise ValueError("categorize is undefined for the baseline context")
-    count = ds.sensors[:, SENSOR_FEATURES.index(ctx.feature)]
+    count = ds.sensors[:, SENSOR_FEATURES.index(feature)]
     pooled = ds.has_ema & (count >= 0)
     return CategoryPools(
-        feature=ctx.feature,
         isolation_days=np.flatnonzero(pooled & (count == 0)),
         sociability_days=np.flatnonzero(pooled & (count > 0)),
     )
@@ -101,19 +69,18 @@ def baseline_pool(ds: ParticipantDataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EligibilityReport:
-    feature: str
     isolation_days: int
     sociability_days: int
     eligible: bool
     limiting_category: str | None
 
 
-def eligibility(ds: ParticipantDataset, ctx: ContextSpec, min_days_per_category: int = 25) -> EligibilityReport:
+def eligibility(ds: ParticipantDataset, feature: str, min_days_per_category: int = 25) -> EligibilityReport:
     """Check whether both category pools of a context have enough EMA days.
 
     The default threshold matches the 25-day permutation sample size.
     """
-    pools = categorize(ds, ctx)
+    pools = categorize(ds, feature)
     n_iso = len(pools.isolation_days)
     n_soc = len(pools.sociability_days)
     eligible = n_iso >= min_days_per_category and n_soc >= min_days_per_category
@@ -121,7 +88,6 @@ def eligibility(ds: ParticipantDataset, ctx: ContextSpec, min_days_per_category:
     if not eligible:
         limiting = "isolation" if n_iso <= n_soc else "sociability"
     return EligibilityReport(
-        feature=ctx.feature,
         isolation_days=n_iso,
         sociability_days=n_soc,
         eligible=eligible,

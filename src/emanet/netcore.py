@@ -48,15 +48,10 @@ class InsufficientData(ValueError):
     """Too few days to estimate a correlation network."""
 
 
-class SubsetMismatch(ValueError):
-    """Two networks cover different item sets."""
-
-
 @dataclass(frozen=True)
 class ItemSubset:
-    """A named slice of the 10 EMA items: all, positive (0-4) or negative (5-9)."""
+    """A slice of the 10 EMA items: all, positive (0-4) or negative (5-9)."""
 
-    selector: str
     indices: tuple
 
     @classmethod
@@ -71,9 +66,9 @@ class ItemSubset:
         return tuple(ITEM_CODES[EMA_ITEMS[i]] for i in self.indices)
 
 
-ALL10 = ItemSubset("all", tuple(range(10)))
-POSITIVE_ONLY = ItemSubset("positive", (0, 1, 2, 3, 4))
-NEGATIVE_ONLY = ItemSubset("negative", (5, 6, 7, 8, 9))
+ALL10 = ItemSubset(tuple(range(10)))
+POSITIVE_ONLY = ItemSubset((0, 1, 2, 3, 4))
+NEGATIVE_ONLY = ItemSubset((5, 6, 7, 8, 9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,21 +153,6 @@ def upper_triangle_sum(matrix: np.ndarray):
     pairs = np.asarray(matrix, dtype=float)[..., i, j]
     total = np.add.accumulate(pairs, axis=-1)[..., -1] if len(i) else np.zeros(pairs.shape[:-1])
     return total if total.ndim else float(total)
-
-
-def connectivity(net: CorrelationNetwork) -> float:
-    return upper_triangle_sum(net.matrix)
-
-
-def connectivity_difference(net_a: CorrelationNetwork, net_b: CorrelationNetwork) -> float:
-    """connectivity(net_a) - connectivity(net_b).
-
-    Convention: a is the isolation category, b sociability; for baseline runs
-    a is the first random sample and b the second.
-    """
-    if net_a.items != net_b.items:
-        raise SubsetMismatch(f"item sets differ: {net_a.items} vs {net_b.items}")
-    return connectivity(net_a) - connectivity(net_b)
 
 
 def network_to_json(net: CorrelationNetwork) -> str:

@@ -14,17 +14,10 @@ import numpy as np
 import pytest
 
 from emanet.cli import main
-from emanet.contexts import ContextSpec, baseline_pool, categorize
+from emanet.contexts import baseline_pool, categorize
 from daytable import sources, table
 from emanet.ingest import backfill_emas
-from emanet.netcore import (
-    ALL10,
-    POSITIVE_ONLY,
-    CorrelationNetwork,
-    connectivity,
-    connectivity_difference,
-    pearson_network,
-)
+from emanet.netcore import ALL10, POSITIVE_ONLY, pearson_network, upper_triangle_sum
 from emanet.permtest import PermutationConfig, child_rng, paired_t_test, run_paired
 from emanet.synthgen import SynthConfig, correlated_block, generate
 
@@ -39,7 +32,7 @@ def check(n, desc, cond, detail=""):
 
 def analyze_synthetic(ds, seed, subset=ALL10, n_permutations=2000):
     """The locations context's ComparisonResult, drawn from the streams the CLI names for analyze."""
-    pools = categorize(ds, ContextSpec("locations_visited"))
+    pools = categorize(ds, "locations_visited")
     cfg = PermutationConfig(subset=subset, n_permutations=n_permutations, seed=seed)
     rngs = (child_rng(seed, "locations_visited"), child_rng(seed, "baseline"))
     return run_paired(ds, pools, baseline_pool(ds), cfg, *rngs)[2]
@@ -167,17 +160,12 @@ def test_criterion_5_connectivity_bounds_and_antisymmetry():
     ok = True
     for _ in range(10_000):
         k = int(rng.choice([5, 10]))
-        labels = ALL10.labels[:k]
-        nets = []
-        for _ in range(2):
-            m = rng.uniform(-1.0, 1.0, size=(k, k))
-            m = (m + m.T) / 2
-            np.fill_diagonal(m, 1.0)
-            nets.append(CorrelationNetwork(items=labels, matrix=m, n_samples=25))
-        a, b = nets
-        bound = k * (k - 1) / 2
-        ok = ok and abs(connectivity(a)) <= bound and abs(connectivity(b)) <= bound
-        ok = ok and connectivity_difference(a, b) == -connectivity_difference(b, a)
+        stack = rng.uniform(-1.0, 1.0, size=(2, k, k))
+        stack = (stack + np.swapaxes(stack, 1, 2)) / 2
+        stack[:, range(k), range(k)] = 1.0
+        ab, ba = upper_triangle_sum(stack), upper_triangle_sum(stack[::-1])
+        ok = ok and bool(np.all(np.abs(ab) <= k * (k - 1) / 2))
+        ok = ok and ab[0] - ab[1] == -(ba[0] - ba[1])
         if not ok:
             break
     check(5, "|connectivity| <= C(k,2) and exact difference antisymmetry on 10,000 networks", ok)

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from emanet.cli import _run_json, histogram_csv, main, render_table, significance_marker
+from emanet.cli import _run_json, build_parser, histogram_csv, main, render_table, significance_marker
+from emanet.contexts import CONTEXT_FLAGS
 from daytable import assert_same
 from emanet.ingest import CSV_COLUMNS, parse_participant
 from emanet.netcore import ALL10
@@ -234,6 +236,36 @@ class TestExportNetwork:
         empty.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
         assert main(["export-network", str(empty)] + flags) == 3
         assert capsys.readouterr().err == f"error: {pool} pool has 0 days, need 2\n"
+
+
+def context_choices(command):
+    """The --context choices of one subcommand, as build_parser defines them."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in commands.choices[command]._actions if a.dest == "context")
+
+
+class TestContextChoices:
+    @pytest.mark.parametrize("command", ["analyze", "cohort"])
+    def test_run_commands_offer_contexts_only(self, command):
+        assert context_choices(command) == list(CONTEXT_FLAGS)
+        assert "baseline" not in context_choices(command)
+
+    def test_export_network_offers_baseline_last(self):
+        assert context_choices("export-network") == [*CONTEXT_FLAGS, "baseline"]
+
+    def test_analyze_rejects_baseline(self, planted_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(planted_csv), "--context", "baseline", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'baseline'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_ignores_category(self, planted_csv, capsys):
+        outs = []
+        for category in ("sociability", "isolation"):
+            assert main(["export-network", str(planted_csv), "--context", "baseline", "--category", category]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 def _not_utf8(src, dst):

@@ -3,7 +3,8 @@ import datetime as dt
 import pytest
 
 from daytable import table
-from emanet.contexts import BASELINE, ContextSpec, baseline_pool, categorize
+from emanet.contexts import BASELINE, CONTEXT_FLAGS, DISPLAY_NAMES, baseline_pool, categorize
+from emanet.ingest import SENSOR_FEATURES
 
 D0 = dt.date(2023, 3, 1)
 
@@ -30,25 +31,25 @@ def neither(pools, n_days):
 
 def test_zero_count_goes_to_isolation():
     ds = build([(0, 1, True)])
-    pools = categorize(ds, ContextSpec("locations_visited"))
+    pools = categorize(ds, "locations_visited")
     assert lists(pools) == ([0], [])
 
 
 def test_positive_count_goes_to_sociability():
     ds = build([(2, 1, True)])
-    pools = categorize(ds, ContextSpec("calls_made"))
+    pools = categorize(ds, "calls_made")
     assert pools.sociability_days.tolist() == [0]
 
 
 def test_missing_feature_is_excluded():
     ds = build([(1, None, True)])
-    pools = categorize(ds, ContextSpec("conversations_detected"))
+    pools = categorize(ds, "conversations_detected")
     assert neither(pools, 1) == [0]
 
 
 def test_no_ema_is_excluded():
     ds = build([(0, 0, False)])
-    pools = categorize(ds, ContextSpec("locations_visited"))
+    pools = categorize(ds, "locations_visited")
     assert neither(pools, 1) == [0]
 
 
@@ -56,7 +57,7 @@ def test_partition_invariant():
     spec = [(0, 1, True), (3, None, True), (0, 0, False), (1, 2, True), (None, 1, True)]
     ds = build(spec)
     for feature, column in (("locations_visited", 0), ("conversations_detected", 1)):
-        pools = categorize(ds, ContextSpec(feature))
+        pools = categorize(ds, feature)
         iso, soc = lists(pools)
         assert not set(iso) & set(soc)
         # A day is in neither pool exactly when it lacks an EMA or the feature.
@@ -65,16 +66,14 @@ def test_partition_invariant():
 
 def test_categorization_is_pure():
     ds = build([(0, 1, True), (2, 0, True)])
-    ctx = ContextSpec("locations_visited")
-    assert lists(categorize(ds, ctx)) == lists(categorize(ds, ctx))
+    assert lists(categorize(ds, "locations_visited")) == lists(categorize(ds, "locations_visited"))
 
 
 def test_pooling_ignores_ema_values():
     spec = [(0, 1, True), (2, 0, True), (1, 1, True)]
     ds_a = build(spec)
     ds_b = build(spec, score=3)  # same structure, different EMA values
-    ctx = ContextSpec("calls_made")
-    assert lists(categorize(ds_a, ctx)) == lists(categorize(ds_b, ctx))
+    assert lists(categorize(ds_a, "calls_made")) == lists(categorize(ds_b, "calls_made"))
 
 
 def test_baseline_pool_ignores_sensor_missingness():
@@ -92,12 +91,9 @@ def test_baseline_pool_empty():
 def test_baseline_context_has_no_pools():
     ds = build([(0, 0, True)])
     with pytest.raises(ValueError):
-        categorize(ds, ContextSpec(BASELINE))
+        categorize(ds, BASELINE)
 
 
-def test_from_flag():
-    assert ContextSpec.from_flag("locations").feature == "locations_visited"
-    assert ContextSpec.from_flag("conversations").feature == "conversations_detected"
-    assert ContextSpec.from_flag("baseline").is_baseline
-    with pytest.raises(ValueError):
-        ContextSpec.from_flag("bogus")
+def test_context_tables_agree():
+    assert set(CONTEXT_FLAGS.values()) <= set(SENSOR_FEATURES)
+    assert set(SENSOR_FEATURES) <= set(DISPLAY_NAMES)

@@ -14,10 +14,7 @@ from emanet.netcore import (
     CorrelationNetwork,
     InsufficientData,
     ItemSubset,
-    SubsetMismatch,
     connectivities,
-    connectivity,
-    connectivity_difference,
     correlation_matrix,
     export_network,
     network_to_dot,
@@ -50,7 +47,7 @@ def random_days(rng, n):
 
 
 def two_item_subset():
-    return ItemSubset("pair", (0, 1))
+    return ItemSubset((0, 1))
 
 
 class TestPearsonNetwork:
@@ -97,7 +94,7 @@ class TestPearsonNetwork:
         # Raw integer rows allow out-of-range values.
         rng = random.Random(9)
         rows = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(10)])
-        subset = ItemSubset("t3", (0, 1, 2))
+        subset = ItemSubset((0, 1, 2))
         base = pearson_network(rows, subset)
         shifted = pearson_network(rows + [7, 0, 0], subset)
         scaled = pearson_network(rows * [3, 1, 1], subset)
@@ -216,12 +213,18 @@ def network_with(offdiag, k=10):
     return CorrelationNetwork(items=tuple(labels), matrix=m, n_samples=25)
 
 
+def difference(a, b):
+    """Connectivity of network a minus that of b, from one two-matrix stack as run_paired sums it."""
+    conn = upper_triangle_sum(np.stack([a.matrix, b.matrix]))
+    return conn[0] - conn[1]
+
+
 class TestConnectivity:
     def test_all_zero_offdiagonal(self):
-        assert connectivity(network_with(0.0)) == 0.0
+        assert upper_triangle_sum(network_with(0.0).matrix) == 0.0
 
     def test_all_ones(self):
-        assert connectivity(network_with(1.0)) == pytest.approx(45.0)
+        assert upper_triangle_sum(network_with(1.0).matrix) == pytest.approx(45.0)
 
     def test_fewer_than_two_items_sum_to_zero(self):
         assert upper_triangle_sum(np.zeros((0, 0))) == 0.0
@@ -235,24 +238,19 @@ class TestConnectivity:
         m = rng.uniform(-1, 1, size=(5, 5))
         m = (m + m.T) / 2
         np.fill_diagonal(m, 1.0)
-        net = CorrelationNetwork(items=POSITIVE_ONLY.labels, matrix=m, n_samples=10)
         direct = sum(m[i, j] for i in range(5) for j in range(i + 1, 5))
         halved = (m.sum() - np.trace(m)) / 2.0
-        assert connectivity(net) == pytest.approx(direct, abs=1e-12)
-        assert connectivity(net) == pytest.approx(halved, abs=1e-12)
+        assert upper_triangle_sum(m) == pytest.approx(direct, abs=1e-12)
+        assert upper_triangle_sum(m) == pytest.approx(halved, abs=1e-12)
 
     def test_difference_antisymmetry(self):
         a = network_with(0.4)
         b = network_with(-0.2)
-        assert connectivity_difference(a, b) == pytest.approx(-connectivity_difference(b, a))
-        assert connectivity_difference(a, a) == 0.0
+        assert difference(a, b) == pytest.approx(-difference(b, a))
+        assert difference(a, a) == 0.0
 
     def test_all_ones_minus_zeros(self):
-        assert connectivity_difference(network_with(1.0), network_with(0.0)) == pytest.approx(45.0)
-
-    def test_subset_mismatch(self):
-        with pytest.raises(SubsetMismatch):
-            connectivity_difference(network_with(0.1), network_with(0.1, k=5))
+        assert difference(network_with(1.0), network_with(0.0)) == pytest.approx(45.0)
 
 
 class TestExport:

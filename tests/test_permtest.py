@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from daytable import table
-from emanet.contexts import ContextSpec, baseline_pool, categorize
+from emanet.contexts import baseline_pool, categorize
 from emanet.ingest import backfill_emas
 from emanet.netcore import ALL10, POSITIVE_ONLY, connectivities, correlation_matrix, upper_triangle_sum
 from emanet.permtest import (
@@ -45,7 +45,7 @@ def dataset_with_pools(n_iso, n_soc, seed=0, floor_items=()):
 
 
 def pools_for(ds):
-    return categorize(ds, ContextSpec("locations_visited"))
+    return categorize(ds, "locations_visited")
 
 
 def paired(ds, cfg, pool=None, log_indices=False):
