@@ -17,16 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contexts import (
-    BASELINE,
-    CONTEXT_FLAGS,
-    DISPLAY_NAMES,
-    baseline_pool,
-    categorize,
-    eligibility,
-)
+from .contexts import BASELINE, CONTEXT_FLAGS, DISPLAY_NAMES, baseline_pool, categorize
 from .ingest import SENSOR_FEATURES, SchemaViolation, backfill_emas, parse_participant, write_participant
-from .netcore import ItemSubset, export_network, pearson_network
+from .netcore import ALL10, NEGATIVE_ONLY, POSITIVE_ONLY, export_network, pearson_network
 from .permtest import (
     SAMPLER,
     InsufficientPool,
@@ -48,7 +41,13 @@ P_FLOOR = 1e-300
 class InvalidFlag(ValueError):
     """A command-line flag value out of range."""
 
-SUBSET_DISPLAY = {"all": "All EMAs", "positive": "Positive EMAs", "negative": "Negative EMAs"}
+
+# --subset flag -> (table row label, EMA column indices).
+SUBSETS = {
+    "all": ("All EMAs", ALL10),
+    "positive": ("Positive EMAs", POSITIVE_ONLY),
+    "negative": ("Negative EMAs", NEGATIVE_ONLY),
+}
 
 TABLE_FOOTER = (
     "* p < 0.001, ** p < 0.05\n"
@@ -126,7 +125,7 @@ def render_table(participant_id: str, feature: str, subset_flag: str, comparison
         "",
         f"{'':16s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
         f"{'':16s}{STATS_HEADER}",
-        _stats_row(f"{SUBSET_DISPLAY[subset_flag]:16s}", comparison),
+        _stats_row(f"{SUBSETS[subset_flag][0]:16s}", comparison),
         "",
         f"p = {format_p(test.p_value)}, df = {test.df}",
         "",
@@ -164,23 +163,21 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_d
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str = ""):
+def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: Path, stream_prefix: str = ""):
     """Full single-participant pipeline under the run flags of args (see
-    _add_run_flags); writes all artifacts into outdir.
+    _add_run_flags) and their checked cfg; writes all artifacts into outdir.
 
     Returns the ComparisonResult. Raises SchemaViolation or InsufficientPool.
     """
     ds = backfill_emas(parse_participant(input_path))
     feature = CONTEXT_FLAGS[args.context]
-    subset = ItemSubset.from_flag(args.subset)
-    cfg = PermutationConfig(
-        subset=subset, n_permutations=args.permutations, sample_size=args.sample_size, seed=args.seed
-    )
-
+    items = SUBSETS[args.subset][1]
     pools = categorize(ds, feature)
+    ema = ds.ema[:, items]
     ctx_run, base_run, comparison = run_paired(
-        ds, pools, baseline_pool(ds), cfg, child_rng(args.seed, stream_prefix + feature),
-        child_rng(args.seed, stream_prefix + BASELINE), log_indices=args.verbose_indices,
+        ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg,
+        child_rng(args.seed, stream_prefix + feature), child_rng(args.seed, stream_prefix + BASELINE),
+        log_indices=args.verbose_indices,
     )
 
     outdir.mkdir(parents=True, exist_ok=True)
@@ -195,8 +192,8 @@ def analyze_participant(args, input_path: Path, outdir: Path, stream_prefix: str
     emit("baseline.json", _run_json(ds.participant_id, BASELINE, args.subset, cfg, base_run, None, *flags))
     emit("histogram.csv", histogram_csv(base_run.differences, ctx_run.differences))
     # Presentation networks use ALL days in each category, not 25-day samples.
-    for category, rows in (("isolation", pools.isolation_days), ("sociability", pools.sociability_days)):
-        net = pearson_network(ds.ema[rows], subset)
+    for category, rows in pools.items():
+        net = pearson_network(ds.ema[rows], items)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
     emit("table.txt", render_table(ds.participant_id, feature, args.subset, comparison))
@@ -230,9 +227,10 @@ def cmd_validate(args) -> int:
     print()
     print(f"{'Context':{w}s}{'Isolation':>10s}{'Sociability':>12s}  Eligible (>= {args.min_days}/category)")
     for feature in SENSOR_FEATURES:
-        rep = eligibility(ds, feature, args.min_days)
-        verdict = "yes" if rep.eligible else f"no (limiting: {rep.limiting_category})"
-        print(f"{DISPLAY_NAMES[feature]:{w}s}{rep.isolation_days:>10d}{rep.sociability_days:>12d}  {verdict}")
+        n = {category: len(rows) for category, rows in categorize(ds, feature).items()}
+        short = min(n, key=n.get)  # the smaller pool; a tie names isolation
+        verdict = "yes" if n[short] >= args.min_days else f"no (limiting: {short})"
+        print(f"{DISPLAY_NAMES[feature]:{w}s}{n['isolation']:>10d}{n['sociability']:>12d}  {verdict}")
     n_pool = len(baseline_pool(ds))
     base_ok = "yes" if n_pool >= 2 * args.min_days else "no"
     print(f"{'Baseline (random unfiltered)':{w}s}{n_pool:>10d}{'':>12s}  {base_ok} (needs >= {2 * args.min_days})")
@@ -240,12 +238,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analyze_participant(args, Path(args.input), Path(args.out))
+    cfg = PermutationConfig(args.permutations, args.sample_size, args.seed)
+    analyze_participant(args, cfg, Path(args.input), Path(args.out))
     print((Path(args.out) / "table.txt").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 
 def cmd_cohort(args) -> int:
+    cfg = PermutationConfig(args.permutations, args.sample_size, args.seed)
     os.scandir(args.inputs).close()  # a missing path or a file raises its OSError before any output
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +253,7 @@ def cmd_cohort(args) -> int:
     for f in sorted(Path(args.inputs).glob("*.csv")):
         pid = f.stem
         try:
-            comparison = analyze_participant(args, f, outdir / pid, stream_prefix=pid + "/")
+            comparison = analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")
         except SchemaViolation as exc:
             excluded.append((pid, f"schema violation: {exc}"))
         except InsufficientPool as exc:
@@ -320,16 +320,13 @@ def cmd_synth(args) -> int:
 
 def cmd_export_network(args) -> int:
     ds = backfill_emas(parse_participant(Path(args.input)))
-    subset = ItemSubset.from_flag(args.subset)
     if args.context == BASELINE:
         pool, rows = BASELINE, baseline_pool(ds)
     else:
-        pools = categorize(ds, CONTEXT_FLAGS[args.context])
-        pool = args.category
-        rows = pools.isolation_days if pool == "isolation" else pools.sociability_days
+        pool, rows = args.category, categorize(ds, CONTEXT_FLAGS[args.context])[args.category]
     if len(rows) < 2:
         raise InsufficientPool(pool, len(rows), 2)
-    net = pearson_network(ds.ema[rows], subset)
+    net = pearson_network(ds.ema[rows], SUBSETS[args.subset][1])
     text = export_network(net, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -342,7 +339,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     """The flags of analyze and cohort, which analyze_participant reads."""
     p.add_argument("--context", choices=list(CONTEXT_FLAGS), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--subset", choices=SUBSET_DISPLAY, default="all")
+    p.add_argument("--subset", choices=SUBSETS, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permutations", type=int, default=2000)
     p.add_argument("--sample-size", type=int, default=25)
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--context", choices=[*CONTEXT_FLAGS, BASELINE], required=True)
     p.add_argument("--category", choices=("isolation", "sociability"), default="isolation")
-    p.add_argument("--subset", choices=SUBSET_DISPLAY, default="all")
+    p.add_argument("--subset", choices=SUBSETS, default="all")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_network)

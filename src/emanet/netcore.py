@@ -1,5 +1,8 @@
 """Pearson correlation networks over EMA item subsets, and their connectivity.
 
+An item subset is a tuple of EMA column indices (ALL10, POSITIVE_ONLY,
+NEGATIVE_ONLY); a network is built from a days x items integer score array.
+
 Connectivity is the sum of the strictly-upper-triangle entries: every unordered
 item pair counted once, diagonal excluded. Networks can be exported as JSON
 (verbatim matrix) or Graphviz DOT (display-thresholded, signed edge colors).
@@ -48,27 +51,10 @@ class InsufficientData(ValueError):
     """Too few days to estimate a correlation network."""
 
 
-@dataclass(frozen=True)
-class ItemSubset:
-    """A slice of the 10 EMA items: all, positive (0-4) or negative (5-9)."""
-
-    indices: tuple
-
-    @classmethod
-    def from_flag(cls, flag: str) -> "ItemSubset":
-        try:
-            return {"all": ALL10, "positive": POSITIVE_ONLY, "negative": NEGATIVE_ONLY}[flag]
-        except KeyError:
-            raise ValueError(f"unknown subset flag {flag!r}") from None
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(ITEM_CODES[EMA_ITEMS[i]] for i in self.indices)
-
-
-ALL10 = ItemSubset(tuple(range(10)))
-POSITIVE_ONLY = ItemSubset((0, 1, 2, 3, 4))
-NEGATIVE_ONLY = ItemSubset((5, 6, 7, 8, 9))
+# EMA column indices of each item subset.
+ALL10 = tuple(range(10))
+POSITIVE_ONLY = (0, 1, 2, 3, 4)
+NEGATIVE_ONLY = (5, 6, 7, 8, 9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +112,14 @@ def connectivities(stack: np.ndarray) -> np.ndarray:
     return upper_triangle_sum(_correlations(stack))
 
 
-def pearson_network(ema: np.ndarray, subset: ItemSubset) -> CorrelationNetwork:
-    """Estimate the correlation network of an EMA item subset across days.
+def pearson_network(ema: np.ndarray, items: tuple) -> CorrelationNetwork:
+    """Estimate the correlation network of the EMA columns `items` across days.
 
     `ema` is an (n_days x 10) integer array of scores, one row per day, such
-    as the EMA rows of a category pool.
+    as the EMA rows of a category pool; nodes are labelled by ITEM_CODES.
     """
-    return CorrelationNetwork(
-        items=subset.labels, matrix=correlation_matrix(ema[:, subset.indices]), n_samples=len(ema)
-    )
+    labels = tuple(ITEM_CODES[EMA_ITEMS[i]] for i in items)
+    return CorrelationNetwork(items=labels, matrix=correlation_matrix(ema[:, items]), n_samples=len(ema))
 
 
 @functools.cache

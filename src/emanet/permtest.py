@@ -1,6 +1,8 @@
 """Permutation engine: resampled connectivity differences and the paired t-test.
 
-Each context iteration draws a fixed-size day sample per category (without
+The engine sees only integer score arrays, one per pool (a row per day, a
+column per item); the caller picks the days and the items. Each context
+iteration draws a fixed-size day sample per category (without
 replacement within the draw, fresh draws across iterations), builds one
 Pearson network per sample, and records the connectivity difference. Each
 baseline iteration draws two disjoint samples from the unfiltered pool
@@ -27,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .contexts import CategoryPools
-from .ingest import ParticipantDataset
-from .netcore import ItemSubset, connectivities
+from .netcore import connectivities
 
 # Iterations per draw and kernel pass: enough to amortise numpy call overhead,
 # few enough that peak RSS stays flat (all 2000 in one pass raised it by half).
@@ -52,7 +52,6 @@ class InvalidConfig(ValueError):
 
 @dataclass(frozen=True)
 class PermutationConfig:
-    subset: ItemSubset
     n_permutations: int = 2000
     sample_size: int = 25
     seed: int = 0
@@ -101,11 +100,6 @@ def child_rng(master_seed: int, stream_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, salt]))
 
 
-def ema_matrix(ds: ParticipantDataset, rows, subset: ItemSubset) -> np.ndarray:
-    """(len(rows) x |subset|) EMA scores of the given day-table rows."""
-    return ds.ema[rows][:, subset.indices]
-
-
 def _subsets(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
     """m independent uniform k-subsets of range(n), one per (m, k) row.
 
@@ -132,34 +126,26 @@ def _disjoint_halves(rng: np.random.Generator, n: int, k: int, m: int) -> tuple:
     return idx[:, :k], idx[:, k:]
 
 
-def run_paired(
-    ds: ParticipantDataset,
-    pools: CategoryPools,
-    pool,
-    cfg: PermutationConfig,
-    context_rng: np.random.Generator,
-    baseline_rng: np.random.Generator,
-    log_indices: bool = False,
-) -> tuple:
+def run_paired(iso: np.ndarray, soc: np.ndarray, data: np.ndarray, cfg: PermutationConfig,
+               context_rng: np.random.Generator, baseline_rng: np.random.Generator, log_indices: bool = False) -> tuple:
     """Context and baseline runs, paired by iteration index, and their t-test.
 
-    Each block of BLOCK iterations draws the isolation and sociability samples
-    from context_rng, then two disjoint halves of one 2*sample_size draw from
-    the unfiltered pool from baseline_rng. Context differences are isolation
+    iso, soc and data are the (n_days x k) integer scores of the isolation,
+    sociability and unfiltered baseline pools, one row per day and one column
+    per item. Each block of BLOCK iterations draws the isolation and
+    sociability samples from context_rng, then two disjoint halves of one
+    2*sample_size draw from the unfiltered pool from baseline_rng. Context differences are isolation
     minus sociability; baseline differences are first half minus second, which
     makes their distribution symmetric around 0. Each sample is sorted so the
     float result depends only on the day set: a sample covering the whole pool
     is bit-identical every iteration. Each side is one kernel pass of 2m
     networks per block, because one pass of all 4m networks is slower. With
-    log_indices the sample positions (into each pool's day list) are kept so
+    log_indices the sample positions (rows of each pool's array) are kept so
     every difference can be recomputed after the fact.
 
     Returns (context_run, baseline_run, ComparisonResult). The t-test takes the
     baseline first, so t is negative when the context mean exceeds it.
     """
-    iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
-    soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
-    data = ema_matrix(ds, pool, cfg.subset)
     k = cfg.sample_size
     for category, rows, need in (("isolation", iso, k), ("sociability", soc, k), ("baseline", data, 2 * k)):
         if len(rows) < need:

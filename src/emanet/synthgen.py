@@ -40,7 +40,7 @@ def _real(value) -> float:
     return float(value)  # OverflowError past the float range
 
 
-def correlated_block(r: float, indices=POSITIVE_ONLY.indices) -> tuple:
+def correlated_block(r: float, indices=POSITIVE_ONLY) -> tuple:
     """Identity 10x10 target with correlation r among the given item indices."""
     m = [[1.0 if i == j else 0.0 for j in range(_N_ITEMS)] for i in range(_N_ITEMS)]
     for i in indices:

@@ -7,7 +7,7 @@ in exactly, from the discretized correlations of each category's latent model
 
 import numpy as np
 
-from emanet.netcore import ALL10, ItemSubset, upper_triangle_sum
+from emanet.netcore import ALL10, upper_triangle_sum
 from emanet.synthgen import DISCRETIZE_THRESHOLDS, SynthConfig
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -36,13 +36,13 @@ def discretized_correlation(corr: tuple, mean: tuple) -> np.ndarray:
     return r
 
 
-def ground_truth(cfg: SynthConfig, subset: ItemSubset = ALL10) -> float:
-    """Expected connectivity difference (isolation minus sociability).
+def ground_truth(cfg: SynthConfig, items: tuple = ALL10) -> float:
+    """Expected connectivity difference (isolation minus sociability) over the EMA columns items.
 
     Exact: each category's discretized correlations, at its own latent means,
     so Likert coarsening attenuation is priced into the planted effect.
     """
-    idx = np.ix_(subset.indices, subset.indices)
+    idx = np.ix_(items, items)
     r_iso = discretized_correlation(cfg.isolation_corr, cfg.isolation_mean)[idx]
     r_soc = discretized_correlation(cfg.sociability_corr, cfg.sociability_mean)[idx]
     return upper_triangle_sum(r_iso) - upper_triangle_sum(r_soc)

@@ -30,12 +30,12 @@ def check(n, desc, cond, detail=""):
     assert cond, f"criterion {n} failed: {desc} {detail}"
 
 
-def analyze_synthetic(ds, seed, subset=ALL10, n_permutations=2000):
+def analyze_synthetic(ds, seed, items=ALL10, n_permutations=2000):
     """The locations context's ComparisonResult, drawn from the streams the CLI names for analyze."""
-    pools = categorize(ds, "locations_visited")
-    cfg = PermutationConfig(subset=subset, n_permutations=n_permutations, seed=seed)
+    pools, ema = categorize(ds, "locations_visited"), ds.ema[:, items]
+    cfg = PermutationConfig(n_permutations=n_permutations, seed=seed)
     rngs = (child_rng(seed, "locations_visited"), child_rng(seed, "baseline"))
-    return run_paired(ds, pools, baseline_pool(ds), cfg, *rngs)[2]
+    return run_paired(ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg, *rngs)[2]
 
 
 def test_criterion_1_baseline_near_zero_mean():
@@ -66,7 +66,7 @@ def test_criterion_2_planted_effect_detection():
     for seed in range(100):
         cfg = SynthConfig(n_days=300, seed=seed, isolation_corr=correlated_block(0.6))
         ds = backfill_emas(generate(cfg))
-        comp = analyze_synthetic(ds, seed, subset=POSITIVE_ONLY)
+        comp = analyze_synthetic(ds, seed, items=POSITIVE_ONLY)
         if comp.test.p_value < 0.001:
             hits += 1
     elapsed = time.perf_counter() - t0

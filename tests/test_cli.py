@@ -1,14 +1,14 @@
 import argparse
+import datetime as dt
 import hashlib
 import json
 
 import pytest
 
 from emanet.cli import _run_json, build_parser, histogram_csv, main, render_table, significance_marker
-from emanet.contexts import CONTEXT_FLAGS
-from daytable import assert_same
-from emanet.ingest import CSV_COLUMNS, parse_participant
-from emanet.netcore import ALL10
+from emanet.contexts import CONTEXT_FLAGS, DISPLAY_NAMES
+from daytable import assert_same, table
+from emanet.ingest import CSV_COLUMNS, parse_participant, write_participant
 from emanet.permtest import ComparisonResult, PermutationConfig, PermutationRun, SummaryStats
 
 
@@ -47,18 +47,40 @@ class TestValidate:
 
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        good = parse_participant.__module__  # keep import used
-        from emanet.ingest import CSV_COLUMNS
-
         row = ["2023-01-01"] + ["7"] + ["1"] * 9 + ["1"] * 6
         bad.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "row 1" in err and "ema_calm" in err
-        assert good  # silence linters
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("min_days, digest", [
+        ("25", "35ce5496cedc6d211e66a28f73ec4b23c6eb5c9ae92ff2d0186a41fd3057954d"),
+        ("150", "5d60981d21c88b3a1e9f96d7795434c6c6260e6ba9fa51d1b97b26d035b90a2a"),
+    ], ids=["min-days-25", "min-days-150"])
+    def test_stdout_is_pinned(self, planted_csv, min_days, digest, capsys):
+        assert main(["validate", str(planted_csv), "--min-days", min_days]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_iso, n_soc, scores, expected", [
+        (40, 40, (1,) * 10, ["40", "40", "yes"]),
+        (24, 36, (1,) * 10, ["24", "36", "no (limiting: isolation)"]),
+        (36, 24, (1,) * 10, ["36", "24", "no (limiting: sociability)"]),
+        (20, 20, (1,) * 10, ["20", "20", "no (limiting: isolation)"]),
+        (5, 5, None, ["0", "0", "no (limiting: isolation)"]),
+    ], ids=["eligible", "isolation-short", "sociability-short", "tie-names-isolation", "no-ema-days"])
+    def test_eligibility_row(self, n_iso, n_soc, scores, expected, tmp_path, capsys):
+        """The calls_made row for n_iso days with no call made, then n_soc days with one."""
+        path = tmp_path / "p.csv"
+        d0 = dt.date(2023, 1, 1)
+        counts = [(None, int(i >= n_iso)) + (None,) * 4 for i in range(n_iso + n_soc)]
+        write_participant(table([(d0 + dt.timedelta(days=i), scores, c) for i, c in enumerate(counts)]), path)
+        assert main(["validate", str(path)]) == 0
+        name = DISPLAY_NAMES["calls_made"]
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith(name))
+        assert row[len(name):].split(None, 2) == expected
 
 
 class TestAnalyze:
@@ -229,6 +251,15 @@ class TestExportNetwork:
         net = json.loads(target.read_text())
         assert len(net["items"]) == 10
 
+    @pytest.mark.parametrize("flags, digest", [
+        (["--context", "baseline"], "fdc6f85a787c39ad688097d04f5f086a0d70b7bbe6b7abd8912dc4e4225cdeef"),
+        (["--context", "locations", "--category", "sociability", "--subset", "negative"],
+         "9213ce31fddc5da3ba5a155c7b204c6fe3462ed4f627e0aa0e08b0972482f496"),
+    ], ids=["baseline", "locations-sociability-negative"])
+    def test_stdout_is_pinned(self, planted_csv, flags, digest, capsys):
+        assert main(["export-network", str(planted_csv), *flags, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("flags, pool", [(["--context", "baseline"], "baseline"),
                                              (["--context", "locations", "--category", "sociability"], "sociability")])
     def test_pool_too_small_exits_3(self, flags, pool, tmp_path, capsys):
@@ -286,6 +317,13 @@ BAD_INPUTS = [
                  "sample_size must be >= 2", id="sample-size-0"),
     pytest.param(["analyze", "{csv}", "--context", "locations", "--seed", "-1", "--out", "{out}"],
                  "seed must be >= 0", id="analyze-negative-seed"),
+    # Run flags are checked before the input is read, so an empty directory does not hide them.
+    pytest.param(["cohort", "{dir}", "--context", "locations", "--permutations", "1", "--out", "{out}"],
+                 "n_permutations must be >= 2", id="cohort-permutations-1"),
+    pytest.param(["cohort", "{dir}", "--context", "locations", "--sample-size", "1", "--out", "{out}"],
+                 "sample_size must be >= 2", id="cohort-sample-size-1"),
+    pytest.param(["cohort", "{dir}", "--context", "locations", "--seed", "-3", "--out", "{out}"],
+                 "seed must be >= 0", id="cohort-negative-seed"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--seed", "-1"], "invalid synth config: seed must be >= 0",
                  id="synth-negative-seed"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--days", "1000000000"],
@@ -379,6 +417,7 @@ def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_utf8_bom_round_trip(planted_csv, tmp_path, capsys):
@@ -425,7 +464,7 @@ class TestHelpers:
         comparison = ComparisonResult(baseline=stats, context=stats, test=test)
         row = render_table("p01", "locations_visited", "all", comparison).splitlines()[4]
         assert row.split()[-2:] == [cell, "*"]
-        cfg = PermutationConfig(subset=ALL10, n_permutations=10)
+        cfg = PermutationConfig(n_permutations=10)
         run = PermutationRun((0.0,) * 10, stats)
         payload = json.loads(_run_json("p01", "locations_visited", "all", cfg, run, comparison, False, False))
         assert payload["comparison"]["t_score"] == value

@@ -20,7 +20,7 @@ def build(records_spec, score=None):
 
 
 def lists(pools):
-    return pools.isolation_days.tolist(), pools.sociability_days.tolist()
+    return pools["isolation"].tolist(), pools["sociability"].tolist()
 
 
 def neither(pools, n_days):
@@ -38,7 +38,7 @@ def test_zero_count_goes_to_isolation():
 def test_positive_count_goes_to_sociability():
     ds = build([(2, 1, True)])
     pools = categorize(ds, "calls_made")
-    assert pools.sociability_days.tolist() == [0]
+    assert pools["sociability"].tolist() == [0]
 
 
 def test_missing_feature_is_excluded():

@@ -6,7 +6,6 @@ import pytest
 
 from daytable import assert_same, sources, table
 from emanet import ingest
-from emanet.contexts import eligibility
 from emanet.ingest import CSV_COLUMNS, MAX_COUNT, REPORTED, SchemaViolation, backfill_emas, parse_participant, write_participant
 
 D0 = dt.date(2023, 1, 1)
@@ -228,28 +227,3 @@ class TestBackfill:
                 else:
                     assert source == f"backfilled-{nearest}"
                     assert np.array_equal(ds.ema[i], ds.ema[i + nearest])
-
-
-class TestEligibility:
-    def test_eligible(self):
-        # Alternating counts: half isolation, half sociability.
-        ds = table([(day(i), (1,) * 10, (i % 2,) + (None,) * 5) for i in range(80)])
-        rep = eligibility(ds, "locations_visited", 25)
-        assert rep.eligible
-        assert rep.isolation_days == 40
-        assert rep.sociability_days == 40
-        assert rep.limiting_category is None
-
-    def test_ineligible_names_limiting_category(self):
-        ds = table([(day(i), (1,) * 10, (None, 0 if i < 24 else 1) + (None,) * 4) for i in range(60)])
-        rep = eligibility(ds, "calls_made", 25)
-        assert not rep.eligible
-        assert rep.limiting_category == "isolation"
-        assert (rep.isolation_days, rep.sociability_days) == (24, 36)
-
-    def test_no_ema_days(self):
-        ds = make_dataset(set(), 10)
-        rep = eligibility(ds, "locations_visited", 25)
-        assert not rep.eligible
-        assert rep.isolation_days == 0
-        assert rep.sociability_days == 0

@@ -13,7 +13,6 @@ from emanet.netcore import (
     POSITIVE_ONLY,
     CorrelationNetwork,
     InsufficientData,
-    ItemSubset,
     connectivities,
     correlation_matrix,
     export_network,
@@ -46,39 +45,41 @@ def random_days(rng, n):
     return np.array([[rng.randrange(4) for _ in range(10)] for _ in range(n)])
 
 
-def two_item_subset():
-    return ItemSubset((0, 1))
+# Node labels of ALL10, in column order.
+LABELS = ("CAL", "SOC", "SLE", "THI", "HOP", "DEP", "STR", "VOI", "SEE", "HAR")
 
 
 class TestPearsonNetwork:
     def test_identical_sequences_correlate_one(self):
         days = vectors([[0, 1, 2, 3], [0, 1, 2, 3]])
-        net = pearson_network(days, two_item_subset())
+        net = pearson_network(days, (0, 1))
         assert net.matrix[0, 1] == pytest.approx(1.0)
         assert net.n_samples == 4
 
     def test_constant_item_zero_by_convention(self):
         days = vectors([[2, 2, 2, 2], [0, 1, 2, 3]])
-        net = pearson_network(days, two_item_subset())
+        net = pearson_network(days, (0, 1))
         assert net.matrix[0, 1] == 0.0
         assert net.matrix[0, 0] == 1.0
 
     def test_derived_pairs_against_formula(self):
         for a, b in [([0, 1, 2, 3], [3, 2, 1, 0]), ([0, 3, 0, 3], [0, 0, 3, 3])]:
-            net = pearson_network(vectors([a, b]), two_item_subset())
+            net = pearson_network(vectors([a, b]), (0, 1))
             assert net.matrix[0, 1] == pytest.approx(naive_pearson(a, b), abs=1e-12)
-        assert pearson_network(vectors([[0, 1, 2, 3], [3, 2, 1, 0]]), two_item_subset()).matrix[0, 1] == pytest.approx(-1.0)
+        assert pearson_network(vectors([[0, 1, 2, 3], [3, 2, 1, 0]]), (0, 1)).matrix[0, 1] == pytest.approx(-1.0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            pearson_network(vectors([[1], [2]]), two_item_subset())
+            pearson_network(vectors([[1], [2]]), (0, 1))
 
     def test_subsets_resolve_indices(self):
-        assert ALL10.indices == tuple(range(10))
-        assert POSITIVE_ONLY.indices == (0, 1, 2, 3, 4)
-        assert NEGATIVE_ONLY.indices == (5, 6, 7, 8, 9)
-        assert POSITIVE_ONLY.labels == ("CAL", "SOC", "SLE", "THI", "HOP")
-        assert NEGATIVE_ONLY.labels == ("DEP", "STR", "VOI", "SEE", "HAR")
+        assert ALL10 == tuple(range(10))
+        assert POSITIVE_ONLY == (0, 1, 2, 3, 4)
+        assert NEGATIVE_ONLY == (5, 6, 7, 8, 9)
+        days = random_days(random.Random(3), 4)
+        assert pearson_network(days, ALL10).items == LABELS
+        assert pearson_network(days, POSITIVE_ONLY).items == ("CAL", "SOC", "SLE", "THI", "HOP")
+        assert pearson_network(days, NEGATIVE_ONLY).items == ("DEP", "STR", "VOI", "SEE", "HAR")
 
     def test_order_invariance(self):
         rng = random.Random(5)
@@ -94,11 +95,11 @@ class TestPearsonNetwork:
         # Raw integer rows allow out-of-range values.
         rng = random.Random(9)
         rows = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(10)])
-        subset = ItemSubset((0, 1, 2))
-        base = pearson_network(rows, subset)
-        shifted = pearson_network(rows + [7, 0, 0], subset)
-        scaled = pearson_network(rows * [3, 1, 1], subset)
-        negated = pearson_network(rows * [-1, 1, 1], subset)
+        items = (0, 1, 2)
+        base = pearson_network(rows, items)
+        shifted = pearson_network(rows + [7, 0, 0], items)
+        scaled = pearson_network(rows * [3, 1, 1], items)
+        negated = pearson_network(rows * [-1, 1, 1], items)
         assert np.allclose(base.matrix, shifted.matrix, atol=1e-12)
         assert np.allclose(base.matrix, scaled.matrix, atol=1e-12)
         expected = base.matrix.copy()
@@ -199,7 +200,7 @@ class TestKernel:
         with pytest.raises(ValueError, match="integer"):
             connectivities(floats[None])
         with pytest.raises(ValueError, match="integer"):
-            pearson_network(np.array([[0.5] * 10, [1.5] * 10, [2.5] * 10]), two_item_subset())
+            pearson_network(np.array([[0.5] * 10, [1.5] * 10, [2.5] * 10]), (0, 1))
 
     def test_moments_too_large_raise(self):
         with pytest.raises(ValueError, match="exact"):
@@ -209,8 +210,7 @@ class TestKernel:
 def network_with(offdiag, k=10):
     m = np.full((k, k), float(offdiag))
     np.fill_diagonal(m, 1.0)
-    labels = ALL10.labels[:k]
-    return CorrelationNetwork(items=tuple(labels), matrix=m, n_samples=25)
+    return CorrelationNetwork(items=LABELS[:k], matrix=m, n_samples=25)
 
 
 def difference(a, b):
@@ -258,7 +258,7 @@ class TestExport:
         m = np.eye(10)
         i, j = 0, 4  # CAL, HOP
         m[i, j] = m[j, i] = 0.8
-        net = CorrelationNetwork(items=ALL10.labels, matrix=m, n_samples=30)
+        net = CorrelationNetwork(items=LABELS, matrix=m, n_samples=30)
         dot = network_to_dot(net)
         assert "CAL -- HOP [penwidth=4.2, color=blue];" in dot
         assert dot.count(" -- ") == 1
@@ -266,20 +266,20 @@ class TestExport:
     def test_negative_edge_is_red(self):
         m = np.eye(10)
         m[5, 6] = m[6, 5] = -0.5
-        net = CorrelationNetwork(items=ALL10.labels, matrix=m, n_samples=30)
+        net = CorrelationNetwork(items=LABELS, matrix=m, n_samples=30)
         assert "DEP -- STR [penwidth=3, color=red];" in network_to_dot(net)
 
     def test_all_zero_network_has_isolated_nodes(self):
         net = network_with(0.0)
         dot = network_to_dot(net)
         assert " -- " not in dot
-        for label in ALL10.labels:
+        for label in LABELS:
             assert f"  {label};" in dot
 
     def test_threshold_hides_weak_edges(self):
         m = np.eye(10)
         m[0, 1] = m[1, 0] = 0.05
-        net = CorrelationNetwork(items=ALL10.labels, matrix=m, n_samples=30)
+        net = CorrelationNetwork(items=LABELS, matrix=m, n_samples=30)
         assert " -- " not in network_to_dot(net)
 
     def test_json_round_trip_exact(self):
@@ -287,7 +287,7 @@ class TestExport:
         m = rng.uniform(-1, 1, size=(10, 10))
         m = (m + m.T) / 2
         np.fill_diagonal(m, 1.0)
-        net = CorrelationNetwork(items=ALL10.labels, matrix=m, n_samples=42)
+        net = CorrelationNetwork(items=LABELS, matrix=m, n_samples=42)
         back = json.loads(network_to_json(net))
         assert tuple(back["items"]) == net.items
         assert back["n_samples"] == 42

@@ -21,7 +21,6 @@ from emanet.permtest import (
     _disjoint_halves,
     _subsets,
     child_rng,
-    ema_matrix,
     paired_t_test,
     run_paired,
 )
@@ -48,12 +47,13 @@ def pools_for(ds):
     return categorize(ds, "locations_visited")
 
 
-def paired(ds, cfg, pool=None, log_indices=False):
-    """run_paired on the locations context and the whole baseline pool (or pool),
-    from the streams the CLI names for an analyze run."""
+def paired(ds, cfg, pool=None, log_indices=False, items=ALL10):
+    """run_paired on the items' scores of the locations context and the whole
+    baseline pool (or pool), from the streams the CLI names for an analyze run."""
+    pools, ema = pools_for(ds), ds.ema[:, items]
     pool = baseline_pool(ds) if pool is None else pool
-    return run_paired(ds, pools_for(ds), pool, cfg, child_rng(cfg.seed, "locations_visited"),
-                      child_rng(cfg.seed, "baseline"), log_indices)
+    return run_paired(ema[pools["isolation"]], ema[pools["sociability"]], ema[pool], cfg,
+                      child_rng(cfg.seed, "locations_visited"), child_rng(cfg.seed, "baseline"), log_indices)
 
 
 def floyd_block(rng, n, k, m):
@@ -87,31 +87,31 @@ def chi2_uniform(observed, cells):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = PermutationConfig(subset=ALL10)
+        cfg = PermutationConfig()
         assert cfg.n_permutations == 2000
         assert cfg.sample_size == 25
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PermutationConfig(subset=ALL10, n_permutations=0)
+            PermutationConfig(n_permutations=0)
         with pytest.raises(ValueError):
-            PermutationConfig(subset=ALL10, sample_size=1)
+            PermutationConfig(sample_size=1)
         # A paired t-test needs two pairs, so one permutation is a config error.
         with pytest.raises(InvalidConfig, match="n_permutations must be >= 2"):
-            PermutationConfig(subset=ALL10, n_permutations=1)
+            PermutationConfig(n_permutations=1)
 
 
 class TestContextRun:
     def test_degenerate_pools_give_zero_std(self):
         ds = dataset_with_pools(25, 25)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=50, seed=1)
+        cfg = PermutationConfig(n_permutations=50, seed=1)
         run, _, _ = paired(ds, cfg)
         assert len(set(run.differences)) == 1
         assert run.stats.std == 0.0
 
     def test_insufficient_pool(self):
         ds = dataset_with_pools(24, 40)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=5)
+        cfg = PermutationConfig(n_permutations=5)
         with pytest.raises(InsufficientPool) as exc:
             paired(ds, cfg)
         assert (exc.value.category, exc.value.have, exc.value.need) == ("isolation", 24, 25)
@@ -120,23 +120,22 @@ class TestContextRun:
     def test_pools_are_checked_isolation_sociability_baseline(self, n_iso, n_soc, short):
         # The baseline pool (n_iso + n_soc days) is short of 50 days as well.
         ds = dataset_with_pools(n_iso, n_soc)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=5)
+        cfg = PermutationConfig(n_permutations=5)
         with pytest.raises(InsufficientPool) as exc:
             paired(ds, cfg)
         assert (exc.value.category, exc.value.have, exc.value.need) == short
 
     def test_determinism(self):
         ds = dataset_with_pools(40, 40, seed=3)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=30, seed=99)
+        cfg = PermutationConfig(n_permutations=30, seed=99)
         assert paired(ds, cfg) == paired(ds, cfg)
 
     def test_logged_indices_recompute_differences(self):
         ds = dataset_with_pools(40, 40, seed=4)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=20, seed=5)
+        cfg = PermutationConfig(n_permutations=20, seed=5)
         pools = pools_for(ds)
         run, _, _ = paired(ds, cfg, log_indices=True)
-        iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
-        soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
+        iso, soc = ds.ema[pools["isolation"]], ds.ema[pools["sociability"]]
         for diff, (idx_iso, idx_soc) in zip(run.differences, run.sampled_indices):
             recomputed = upper_triangle_sum(correlation_matrix(iso[list(idx_iso)])) - upper_triangle_sum(
                 correlation_matrix(soc[list(idx_soc)])
@@ -146,12 +145,10 @@ class TestContextRun:
     @pytest.mark.parametrize("n_permutations", [63, 64, 65, 130])
     def test_blocks_match_one_network_at_a_time(self, n_permutations):
         ds = dataset_with_pools(40, 60, seed=23, floor_items=(1, 9))
-        cfg = PermutationConfig(subset=ALL10, n_permutations=n_permutations, seed=24)
+        cfg = PermutationConfig(n_permutations=n_permutations, seed=24)
         pools, pool = pools_for(ds), baseline_pool(ds)
         ctx, base, _ = paired(ds, cfg, log_indices=True)
-        iso = ema_matrix(ds, pools.isolation_days, cfg.subset)
-        soc = ema_matrix(ds, pools.sociability_days, cfg.subset)
-        data = ema_matrix(ds, pool, cfg.subset)
+        iso, soc, data = ds.ema[pools["isolation"]], ds.ema[pools["sociability"]], ds.ema[pool]
         for run, a, b in ((ctx, iso, soc), (base, data, data)):
             one_at_a_time = [
                 upper_triangle_sum(correlation_matrix(a[list(ia)])) - upper_triangle_sum(correlation_matrix(b[list(ib)]))
@@ -162,7 +159,7 @@ class TestContextRun:
 
     def test_sampled_indices_replay_the_sampler(self):
         ds = dataset_with_pools(40, 50, seed=25)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=130, seed=26)
+        cfg = PermutationConfig(n_permutations=130, seed=26)
         ctx, base, _ = paired(ds, cfg, log_indices=True)
         blocks = [min(BLOCK, cfg.n_permutations - start) for start in range(0, cfg.n_permutations, BLOCK)]
         rng = child_rng(cfg.seed, "locations_visited")
@@ -180,7 +177,7 @@ class TestContextRun:
 
     def test_sampled_rows_are_sorted_distinct_and_in_range(self):
         ds = dataset_with_pools(26, 60, seed=27)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=200, seed=28, sample_size=13)
+        cfg = PermutationConfig(n_permutations=200, seed=28, sample_size=13)
         ctx, base, _ = paired(ds, cfg, log_indices=True)
         for run, n_a, n_b in ((ctx, 26, 60), (base, 86, 86)):
             for row_a, row_b in run.sampled_indices:
@@ -191,14 +188,14 @@ class TestContextRun:
 
     def test_difference_bounds(self):
         ds = dataset_with_pools(40, 40, seed=6)
-        for subset, bound in ((ALL10, 90.0), (POSITIVE_ONLY, 20.0)):
-            cfg = PermutationConfig(subset=subset, n_permutations=50, seed=7)
-            run, _, _ = paired(ds, cfg)
+        for items, bound in ((ALL10, 90.0), (POSITIVE_ONLY, 20.0)):
+            cfg = PermutationConfig(n_permutations=50, seed=7)
+            run, _, _ = paired(ds, cfg, items=items)
             assert all(abs(d) <= bound for d in run.differences)
 
     def test_stats_recomputable_from_differences(self):
         ds = dataset_with_pools(40, 40, seed=8)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=40, seed=9)
+        cfg = PermutationConfig(n_permutations=40, seed=9)
         for run in paired(ds, cfg)[:2]:
             assert run.stats.mean == pytest.approx(float(np.mean(run.differences)), abs=1e-10)
             assert run.stats.std == pytest.approx(float(np.std(run.differences, ddof=1)), abs=1e-10)
@@ -231,8 +228,7 @@ class TestSampler:
         connectivities, to the bit: a change of stream, sampler or summation
         order must fail here, not pass unnoticed."""
         ds = dataset_with_pools(150, 150, seed=31)
-        iso = ema_matrix(ds, pools_for(ds).isolation_days, ALL10)
-        data = ema_matrix(ds, baseline_pool(ds), ALL10)
+        iso, data = ds.ema[pools_for(ds)["isolation"]], ds.ema[baseline_pool(ds)]
         ctx = np.sort(_subsets(child_rng(0, "locations_visited"), 150, 25, BLOCK), axis=1)
         first, second = (np.sort(idx, axis=1) for idx in _disjoint_halves(child_rng(0, "baseline"), 300, 25, BLOCK))
         blocks = (
@@ -253,26 +249,26 @@ class TestBaselineRun:
     def test_insufficient_pool(self):
         # Both context pools pass; the baseline pool given is one day short.
         ds = dataset_with_pools(25, 25)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=5, sample_size=25)
+        cfg = PermutationConfig(n_permutations=5, sample_size=25)
         with pytest.raises(InsufficientPool) as exc:
             paired(ds, cfg, pool=baseline_pool(ds)[1:])
         assert (exc.value.category, exc.value.have, exc.value.need) == ("baseline", 49, 50)
 
     def test_exact_partition_pool(self):
         ds = dataset_with_pools(25, 25, seed=10)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=30, seed=11)
+        cfg = PermutationConfig(n_permutations=30, seed=11)
         _, run, _ = paired(ds, cfg)
         assert len(run.differences) == 30
 
     def test_mean_is_small(self):
         ds = dataset_with_pools(80, 80, seed=12)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=2000, seed=13)
+        cfg = PermutationConfig(n_permutations=2000, seed=13)
         _, run, _ = paired(ds, cfg)
         assert abs(run.stats.mean) < 4.0 * run.stats.std / math.sqrt(cfg.n_permutations)
 
     def test_disjoint_samples(self):
         ds = dataset_with_pools(30, 30, seed=14)
-        cfg = PermutationConfig(subset=ALL10, n_permutations=10, seed=15)
+        cfg = PermutationConfig(n_permutations=10, seed=15)
         _, run, _ = paired(ds, cfg, log_indices=True)
         for first, second in run.sampled_indices:
             assert not set(first) & set(second)
@@ -327,7 +323,7 @@ class TestCompareToBaseline:
     def test_planted_effect_detected(self):
         cfg = synthgen.SynthConfig(n_days=300, seed=21, isolation_corr=synthgen.correlated_block(0.6))
         ds = backfill_emas(synthgen.generate(cfg))
-        _, _, comp = paired(ds, PermutationConfig(subset=POSITIVE_ONLY, seed=22))
+        _, _, comp = paired(ds, PermutationConfig(seed=22), items=POSITIVE_ONLY)
         assert comp.test.p_value < 0.001
         assert comp.test.t_score < 0  # context connectivity above baseline
 

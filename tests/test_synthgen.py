@@ -112,7 +112,7 @@ class TestGroundTruth:
         single[0][1] = single[1][0] = 0.9
         one_pair = ground_truth(SynthConfig(n_days=10, isolation_corr=tuple(map(tuple, single))))
         all_pairs = ground_truth(
-            SynthConfig(n_days=10, isolation_corr=correlated_block(0.9)), subset=POSITIVE_ONLY
+            SynthConfig(n_days=10, isolation_corr=correlated_block(0.9)), items=POSITIVE_ONLY
         )
         assert all_pairs == pytest.approx(10.0 * one_pair, rel=0.05)
 
