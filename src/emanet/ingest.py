@@ -175,18 +175,17 @@ _WRITTEN_LINE = re.compile(
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-def parse_participant(path, participant_id: str | None = None) -> ParticipantDataset:
+def parse_participant(path) -> ParticipantDataset:
     """Parse one participant CSV into a date-sorted dataset.
 
     A file in write_participant's own form is decoded in bulk; every other
     file goes through the row loop, the only judge of what is valid and of
     every error message. Malformed rows raise SchemaViolation with the
     offending row and column, the first in file order; nothing is silently
-    dropped.
+    dropped. The participant id is the file name's stem.
     """
     path = pathlib.Path(path)
-    if participant_id is None:
-        participant_id = path.stem
+    participant_id = path.stem
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()

@@ -7,13 +7,15 @@ Connectivity is the sum of the strictly-upper-triangle entries: every unordered
 item pair counted once, diagonal excluded. Networks can be exported as JSON
 (verbatim matrix) or Graphviz DOT (display-thresholded, signed edge colors).
 
-One kernel computes every network, alone or in a (B, n_days, k) stack of
-integer scores. The co-moments n·Σxy − Σx·Σy are float64 matmuls of integer
+One kernel, correlation_matrix, computes every network, alone or in an
+(..., n_days, k) stack of integer scores; upper_triangle_sum gives each one's
+connectivity. The co-moments n·Σxy − Σx·Σy are float64 matmuls of integer
 values whose every product and partial sum is an integer below 2^53, so BLAS
-computes them exactly whatever its summation order, blocking or FMA use. Each
-r is one correctly rounded division, and connectivity adds the pair
-correlations left to right in np.triu_indices order. So a network has the
-same bits alone, in any batch and on any numpy/BLAS build.
+computes them exactly whatever its summation order, blocking or FMA use, and
+whatever the order of the days. Each r is one correctly rounded division, and
+connectivity adds the pair correlations left to right in np.triu_indices
+order. So a network has the same bits alone, in any batch, for any day order
+and on any numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -70,46 +72,35 @@ class CorrelationNetwork:
         m.flags.writeable = False
 
 
-def _correlations(stack: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrices of each (n_days x k) slice of an integer stack:
-    r = cm_ij / sqrt(cm_ii·cm_jj) from the co-moments cm = n·Σxy − Σx·Σy.
+def correlation_matrix(data: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix of the columns of an (n_days x k) integer array,
+    or of each slice of an (..., n_days, k) stack: r = cm_ij / sqrt(cm_ii·cm_jj)
+    from the co-moments cm = n·Σxy − Σx·Σy.
 
     Zero-variance columns get correlation 0 against everything; the diagonal
-    is forced to 1. Entries are clipped to [-1, 1] against rounding.
+    is forced to 1. Entries are clipped to [-1, 1] against rounding. The
+    co-moments are exact integers, so the result does not depend on row order.
     """
-    if not np.issubdtype(stack.dtype, np.integer):
-        raise ValueError(f"expected integer scores, got dtype {stack.dtype}")
-    n = stack.shape[-2]
-    if n * n * max(int(stack.max()), -int(stack.min())) ** 2 > MAX_EXACT_MOMENT:
+    data = np.asarray(data)
+    if data.ndim < 2:
+        raise ValueError("expected a days x items array or a stack of them")
+    n = data.shape[-2]
+    if n < 2:
+        raise InsufficientData(f"need at least 2 days, got {n}")
+    if not np.issubdtype(data.dtype, np.integer):
+        raise ValueError(f"expected integer scores, got dtype {data.dtype}")
+    if n * n * max(int(data.max()), -int(data.min())) ** 2 > MAX_EXACT_MOMENT:
         raise ValueError("scores too large for exact integer moments")
-    x = stack.astype(float)
+    x = data.astype(float)
     sums = np.ones(n) @ x
     cm = n * (np.swapaxes(x, -1, -2) @ x) - sums[..., :, None] * sums[..., None, :]
     var = np.diagonal(cm, axis1=-2, axis2=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = cm / np.sqrt(var[..., :, None] * var[..., None, :])
-    zero = var == 0
-    corr[zero[..., :, None] | zero[..., None, :]] = 0.0
+    denom = np.sqrt(var[..., :, None] * var[..., None, :])
+    corr = np.divide(cm, denom, out=np.zeros_like(cm), where=denom > 0)
     np.clip(corr, -1.0, 1.0, out=corr)
     k = corr.shape[-1]
     corr[..., np.arange(k), np.arange(k)] = 1.0
     return corr
-
-
-def correlation_matrix(data: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix of columns of an (n_days x k) integer array."""
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("expected a 2-D array of days x items")
-    if data.shape[0] < 2:
-        raise InsufficientData(f"need at least 2 days, got {data.shape[0]}")
-    return _correlations(data[None])[0]
-
-
-def connectivities(stack: np.ndarray) -> np.ndarray:
-    """Connectivity of each network of a (B, n_days, k) integer stack; bit-identical
-    to upper_triangle_sum(correlation_matrix(stack[b]))."""
-    return upper_triangle_sum(_correlations(stack))
 
 
 def pearson_network(ema: np.ndarray, items: tuple) -> CorrelationNetwork:

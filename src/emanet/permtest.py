@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .netcore import connectivities
+from .netcore import correlation_matrix, upper_triangle_sum
 
 # Iterations per draw and kernel pass: enough to amortise numpy call overhead,
 # few enough that peak RSS stays flat (all 2000 in one pass raised it by half).
@@ -136,12 +136,13 @@ def run_paired(iso: np.ndarray, soc: np.ndarray, data: np.ndarray, cfg: Permutat
     sociability samples from context_rng, then two disjoint halves of one
     2*sample_size draw from the unfiltered pool from baseline_rng. Context differences are isolation
     minus sociability; baseline differences are first half minus second, which
-    makes their distribution symmetric around 0. Each sample is sorted so the
-    float result depends only on the day set: a sample covering the whole pool
-    is bit-identical every iteration. Each side is one kernel pass of 2m
-    networks per block, because one pass of all 4m networks is slower. With
-    log_indices the sample positions (rows of each pool's array) are kept so
-    every difference can be recomputed after the fact.
+    makes their distribution symmetric around 0. The kernel's result does not
+    depend on row order, so samples go to it as drawn, and a sample covering
+    the whole pool is bit-identical every iteration. Each side is one kernel
+    pass of 2m networks per block, because one pass of all 4m networks is
+    slower. With log_indices the sample positions (rows of each pool's array)
+    are kept, in ascending order, so every difference can be recomputed after
+    the fact.
 
     Returns (context_run, baseline_run, ComparisonResult). The t-test takes the
     baseline first, so t is negative when the context mean exceeds it.
@@ -157,12 +158,12 @@ def run_paired(iso: np.ndarray, soc: np.ndarray, data: np.ndarray, cfg: Permutat
             (_subsets(context_rng, len(iso), k, m), _subsets(context_rng, len(soc), k, m)),
             _disjoint_halves(baseline_rng, len(data), k, m),
         )
-        for (a, b, differences, log), draw in zip(sides, draws):
-            idx_a, idx_b = (np.sort(idx, axis=1) for idx in draw)
-            conn = connectivities(np.concatenate((a[idx_a], b[idx_b])))
+        for (a, b, differences, log), (idx_a, idx_b) in zip(sides, draws):
+            conn = upper_triangle_sum(correlation_matrix(np.concatenate((a[idx_a], b[idx_b]))))
             differences += (conn[:m] - conn[m:]).tolist()
             if log is not None:
-                log += zip(map(tuple, idx_a.tolist()), map(tuple, idx_b.tolist()))
+                idx_a, idx_b = (np.sort(idx, axis=1).tolist() for idx in (idx_a, idx_b))
+                log += zip(map(tuple, idx_a), map(tuple, idx_b))
     context_run, baseline_run = (
         PermutationRun(
             differences=tuple(differences),

@@ -113,12 +113,12 @@ class SynthConfig:
 def _validate_corr(m: np.ndarray, name: str) -> None:
     if m.shape != (_N_ITEMS, _N_ITEMS):
         raise InvalidConfig(f"{name} must be {_N_ITEMS}x{_N_ITEMS}")
+    if not np.isfinite(m).all():
+        raise InvalidConfig(f"{name} entries must be finite")
     if not np.allclose(m, m.T, atol=1e-12):
         raise InvalidConfig(f"{name} must be symmetric")
     if not np.allclose(np.diag(m), 1.0, atol=1e-12):
         raise InvalidConfig(f"{name} must have unit diagonal")
-    if not np.isfinite(m).all():
-        raise InvalidConfig(f"{name} entries must be finite")
     if np.linalg.eigvalsh(m).min() < -1e-8:
         raise InvalidConfig(f"{name} must be positive semidefinite")
 

@@ -355,6 +355,8 @@ BAD_INPUTS = [
                  "invalid synth config: report_cadence must be an integer, got 2.5", id="synth-float-cadence"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{nan_mean}"],
                  "invalid synth config: isolation_mean entries must be finite", id="synth-nan-mean"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--planted-r", "nan"],
+                 "invalid synth config: isolation_corr entries must be finite", id="synth-planted-r-nan"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "nope.json"], "error: file not found: nope.json",
                  id="synth-config-missing"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{dir}"], "error: Is a directory: d",

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import random
 
@@ -132,8 +133,7 @@ class TestParse:
         ds = parse_participant(make_csv(tmp_path, rows))
         out = tmp_path / "rt.csv"
         write_participant(ds, out)
-        ds2 = parse_participant(out, participant_id=ds.participant_id)
-        assert_same(ds2, ds)
+        assert_same(parse_participant(out), dataclasses.replace(ds, participant_id="rt"))
 
 
 class TestBulkDecode:
@@ -166,14 +166,14 @@ class TestBulkDecode:
         crlf = tmp_path / "p02.csv"
         write_participant(parse_participant(lf), crlf)
         assert b"\r\n" in crlf.read_bytes() and b"\r" not in lf.read_bytes()
-        expected = {path: ingest._parse_rows(path, "p") for path in (lf, crlf)}
+        expected = {path: ingest._parse_rows(path, path.stem) for path in (lf, crlf)}
 
         def row_loop(path, participant_id):
             raise AssertionError(f"row loop ran on {path.name}")
 
         monkeypatch.setattr(ingest, "_parse_rows", row_loop)
         for path, ds in expected.items():
-            assert_same(parse_participant(path, "p"), ds)
+            assert_same(parse_participant(path), ds)
 
 
 class TestBackfill:

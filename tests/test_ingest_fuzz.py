@@ -93,7 +93,7 @@ def test_any_bytes_give_a_dataset_or_a_named_error(data, scratch):
 @given(ds=DATASETS)
 def test_write_then_parse_round_trips(ds, scratch):
     write_participant(ds, scratch)
-    assert_same(parse_participant(scratch, participant_id="fuzz"), ds)
+    assert_same(parse_participant(scratch), ds)
 
 
 def _lines(text, i, edit):
@@ -154,9 +154,9 @@ WRITTEN = st.builds(
 )
 
 
-def _outcome(parse, path):
+def _outcome(parse, *args):
     try:
-        return parse(path, "fuzz")
+        return parse(*args)
     except (SchemaViolation, UnicodeDecodeError) as exc:
         return exc
 
@@ -166,7 +166,7 @@ def _outcome(parse, path):
 def test_bulk_decoder_agrees_with_the_row_loop(data, written, scratch):
     for name, case in [("data", data), *written.items()]:
         scratch.write_bytes(case)
-        bulk, rows = _outcome(parse_participant, scratch), _outcome(_parse_rows, scratch)
+        bulk, rows = _outcome(parse_participant, scratch), _outcome(_parse_rows, scratch, "fuzz")
         if isinstance(rows, ParticipantDataset):
             assert isinstance(bulk, ParticipantDataset), (name, bulk)
             assert_same(bulk, rows)

@@ -13,7 +13,6 @@ from emanet.netcore import (
     POSITIVE_ONLY,
     CorrelationNetwork,
     InsufficientData,
-    connectivities,
     correlation_matrix,
     export_network,
     network_to_dot,
@@ -154,7 +153,7 @@ class TestKernel:
                 for row in rows:  # a column at the scale floor, often constant
                     row[0] = 0 if rng.random() < 0.9 else row[0]
                 stack.append(rows)
-            batched = connectivities(np.asarray(stack))
+            batched = upper_triangle_sum(correlation_matrix(np.asarray(stack)))
             for rows, conn in zip(stack, batched):
                 pairs, total = python_network(rows)
                 matrix = correlation_matrix(np.asarray(rows))
@@ -176,7 +175,7 @@ class TestKernel:
                 [rng.choice((0, top)) for _ in range(n)],
             ]
             stack.append([list(row) for row in zip(*columns)])
-        batched = connectivities(np.asarray(stack, dtype=np.int64))
+        batched = upper_triangle_sum(correlation_matrix(np.asarray(stack, dtype=np.int64)))
         for rows, conn in zip(stack, batched):
             pairs, total = python_network(rows)
             matrix = correlation_matrix(np.asarray(rows, dtype=np.int64))
@@ -191,14 +190,27 @@ class TestKernel:
         assert m[0, 2] == 1.0
         assert m[0, 3] == m[1, 3] == m[2, 3] == 0.0
         assert np.all(np.diag(m) == 1.0)
-        assert connectivities(np.asarray([rows]))[0] == -1.0
+        assert upper_triangle_sum(correlation_matrix(np.asarray([rows])))[0] == -1.0
+
+    def test_row_order_does_not_change_a_bit(self):
+        """Co-moments are exact integers, so permuting each slice's days leaves its
+        matrix bit for bit: run_paired hands samples to the kernel unsorted."""
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 5, 25, 26, 150, 1500):
+            stack = rng.integers(0, 4, size=(6, n, 10))
+            stack[:, :, 2] = 1  # constant in every slice
+            stack[0, :, 7] = 0
+            stack[1, :, 1:] = 3  # one varying column only
+            order = np.argsort(rng.random((6, n)), axis=1)
+            shuffled = np.take_along_axis(stack, order[..., None], axis=1)
+            assert np.array_equal(correlation_matrix(shuffled).view(np.int64), correlation_matrix(stack).view(np.int64))
 
     def test_non_integer_input_raises(self):
         floats = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
         with pytest.raises(ValueError, match="integer"):
             correlation_matrix(floats)
         with pytest.raises(ValueError, match="integer"):
-            connectivities(floats[None])
+            upper_triangle_sum(correlation_matrix(floats[None]))
         with pytest.raises(ValueError, match="integer"):
             pearson_network(np.array([[0.5] * 10, [1.5] * 10, [2.5] * 10]), (0, 1))
 

@@ -90,9 +90,9 @@ def test_discretize_thresholds_are_quartiles():
 def test_csv_round_trip(tmp_path):
     cfg = SynthConfig(n_days=40, seed=6, missing_sensor_rate=0.1)
     ds = generate(cfg)
-    path = tmp_path / "synth.csv"
+    path = tmp_path / f"{ds.participant_id}.csv"
     write_participant(ds, path)
-    assert_same(parse_participant(path, participant_id=ds.participant_id), ds)
+    assert_same(parse_participant(path), ds)
 
 
 class TestGroundTruth:
