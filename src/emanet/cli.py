@@ -106,26 +106,31 @@ def histogram_csv(baseline_diffs, context_diffs) -> str:
     return "\n".join(lines) + "\n"
 
 
-STATS_HEADER = f"{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}"
+def _stats_head(width: int, corner: str, feature: str) -> list:
+    """The two heading lines over _stats_row rows whose labels are width wide."""
+    return [
+        f"{'':{width}s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
+        f"{corner:{width}s}{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}",
+    ]
 
 
-def _stats_row(label: str, comparison) -> str:
-    """label, then baseline and context mean/std, t and significance marker."""
-    base, ctx, test = comparison.baseline, comparison.context, comparison.test
+def _stats_row(label: str, result) -> str:
+    """label, then baseline and context mean/std, t and significance marker of
+    one run_paired result (context_run, baseline_run, TTest)."""
+    ctx, base, test = result
     return (
         f"{label}{base.mean:8.2f}{base.std:10.2f}    {ctx.mean:8.2f}{ctx.std:10.2f}"
         f"{_t_cell(test.t_score):>12s} {significance_marker(test.p_value)}"
     ).rstrip()
 
 
-def render_table(participant_id: str, feature: str, subset_flag: str, comparison) -> str:
-    test = comparison.test
+def render_table(participant_id: str, feature: str, subset_flag: str, result) -> str:
+    test = result[2]
     lines = [
         f"Participant: {participant_id}",
         "",
-        f"{'':16s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
-        f"{'':16s}{STATS_HEADER}",
-        _stats_row(f"{SUBSETS[subset_flag][0]:16s}", comparison),
+        *_stats_head(16, "", feature),
+        _stats_row(f"{SUBSETS[subset_flag][0]:16s}", result),
         "",
         f"p = {format_p(test.p_value)}, df = {test.df}",
         "",
@@ -134,7 +139,7 @@ def render_table(participant_id: str, feature: str, subset_flag: str, comparison
     return "\n".join(lines) + "\n"
 
 
-def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_differences, verbose_indices):
+def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_differences, verbose_indices):
     payload = {
         "participant_id": participant_id,
         "context": feature,
@@ -146,15 +151,16 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, comparison, emit_d
             "seed": cfg.seed,
             "subset": subset_flag,
         },
-        "stats": {"mean": run.stats.mean, "std": run.stats.std},
+        "stats": {"mean": run.mean, "std": run.std},
     }
-    if comparison is not None:
+    if result is not None:
+        ctx, base, test = result
         payload["comparison"] = {
-            "t_score": _t_cell(t) if math.isinf(t := comparison.test.t_score) else t,
-            "p_value": machine_p(comparison.test.p_value),
-            "df": comparison.test.df,
-            "baseline": {"mean": comparison.baseline.mean, "std": comparison.baseline.std},
-            "context": {"mean": comparison.context.mean, "std": comparison.context.std},
+            "t_score": _t_cell(t) if math.isinf(t := test.t_score) else t,
+            "p_value": machine_p(test.p_value),
+            "df": test.df,
+            "baseline": {"mean": base.mean, "std": base.std},
+            "context": {"mean": ctx.mean, "std": ctx.std},
         }
     if emit_differences:
         payload["differences"] = list(run.differences)
@@ -167,18 +173,20 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
     """Full single-participant pipeline under the run flags of args (see
     _add_run_flags) and their checked cfg; writes all artifacts into outdir.
 
-    Returns the ComparisonResult. Raises SchemaViolation or InsufficientPool.
+    Returns run_paired's (context_run, baseline_run, TTest). Raises
+    SchemaViolation or InsufficientPool.
     """
     ds = backfill_emas(parse_participant(input_path))
     feature = CONTEXT_FLAGS[args.context]
     items = SUBSETS[args.subset][1]
     pools = categorize(ds, feature)
     ema = ds.ema[:, items]
-    ctx_run, base_run, comparison = run_paired(
+    result = run_paired(
         ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg,
         child_rng(args.seed, stream_prefix + feature), child_rng(args.seed, stream_prefix + BASELINE),
         log_indices=args.verbose_indices,
     )
+    ctx_run, base_run, _ = result
 
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -188,7 +196,7 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
         outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     flags = (args.emit_differences, args.verbose_indices)
-    emit("run.json", _run_json(ds.participant_id, feature, args.subset, cfg, ctx_run, comparison, *flags))
+    emit("run.json", _run_json(ds.participant_id, feature, args.subset, cfg, ctx_run, result, *flags))
     emit("baseline.json", _run_json(ds.participant_id, BASELINE, args.subset, cfg, base_run, None, *flags))
     emit("histogram.csv", histogram_csv(base_run.differences, ctx_run.differences))
     # Presentation networks use ALL days in each category, not 25-day samples.
@@ -196,7 +204,7 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
         net = pearson_network(ds.ema[rows], items)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
-    emit("table.txt", render_table(ds.participant_id, feature, args.subset, comparison))
+    emit("table.txt", render_table(ds.participant_id, feature, args.subset, result))
 
     manifest = {
         "tool_version": __version__,
@@ -215,7 +223,7 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
         "outputs": outputs,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return comparison
+    return result
 
 
 def cmd_validate(args) -> int:
@@ -249,11 +257,14 @@ def cmd_cohort(args) -> int:
     os.scandir(args.inputs).close()  # a missing path or a file raises its OSError before any output
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    # Each row is rendered as soon as its run returns: holding the runs
+    # (every sampled index under --verbose-indices) would raise peak memory.
     rows, excluded = [], []
     for f in sorted(Path(args.inputs).glob("*.csv")):
         pid = f.stem
         try:
-            comparison = analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")
+            rows.append(_stats_row(f"{pid:10s}",
+                                   analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")))
         except SchemaViolation as exc:
             excluded.append((pid, f"schema violation: {exc}"))
         except InsufficientPool as exc:
@@ -262,15 +273,7 @@ def cmd_cohort(args) -> int:
             excluded.append((pid, f"not UTF-8 text ({exc.reason})"))
         except OSError as exc:
             excluded.append((pid, exc.strerror))
-        else:
-            rows.append((pid, comparison))
-    feature = CONTEXT_FLAGS[args.context]
-    lines = [
-        f"{'':10s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
-        f"{'ID':10s}{STATS_HEADER}",
-    ]
-    lines += [_stats_row(f"{pid:10s}", comp) for pid, comp in rows]
-    lines.append("")
+    lines = [*_stats_head(10, "ID", CONTEXT_FLAGS[args.context]), *rows, ""]
     if excluded:
         lines.append("Excluded participants:")
         for pid, reason in excluded:

@@ -28,20 +28,6 @@ import numpy as np
 
 from .ingest import EMA_ITEMS
 
-# 3-letter node codes used in exported networks.
-ITEM_CODES = {
-    "calm": "CAL",
-    "social": "SOC",
-    "sleeping": "SLE",
-    "think": "THI",
-    "hopeful": "HOP",
-    "depressed": "DEP",
-    "stressed": "STR",
-    "voices": "VOI",
-    "seeing": "SEE",
-    "harm": "HAR",
-}
-
 DOT_EDGE_THRESHOLD = 0.1
 
 # Scores with n²·max|x|² up to this keep every product, partial sum and
@@ -107,9 +93,10 @@ def pearson_network(ema: np.ndarray, items: tuple) -> CorrelationNetwork:
     """Estimate the correlation network of the EMA columns `items` across days.
 
     `ema` is an (n_days x 10) integer array of scores, one row per day, such
-    as the EMA rows of a category pool; nodes are labelled by ITEM_CODES.
+    as the EMA rows of a category pool. Each node is labelled by the first three
+    letters of its item's name, upper-cased ("calm" -> "CAL").
     """
-    labels = tuple(ITEM_CODES[EMA_ITEMS[i]] for i in items)
+    labels = tuple(EMA_ITEMS[i][:3].upper() for i in items)
     return CorrelationNetwork(items=labels, matrix=correlation_matrix(ema[:, items]), n_samples=len(ema))
 
 

@@ -24,6 +24,7 @@ approximate; the procedure is reproduced as published.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,26 +67,18 @@ class PermutationConfig:
 
 
 @dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    std: float
-    t_score: float | None = None
-    p_value: float | None = None
-    df: int | None = None
-
-
-@dataclass(frozen=True)
 class PermutationRun:
     differences: tuple
-    stats: SummaryStats
+    mean: float
+    std: float
     sampled_indices: tuple | None = None
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
-    baseline: SummaryStats
-    context: SummaryStats
-    test: SummaryStats
+class TTest:
+    t_score: float
+    p_value: float
+    df: int
 
 
 def child_rng(master_seed: int, stream_id: str) -> np.random.Generator:
@@ -144,8 +137,9 @@ def run_paired(iso: np.ndarray, soc: np.ndarray, data: np.ndarray, cfg: Permutat
     are kept, in ascending order, so every difference can be recomputed after
     the fact.
 
-    Returns (context_run, baseline_run, ComparisonResult). The t-test takes the
-    baseline first, so t is negative when the context mean exceeds it.
+    Returns (context_run, baseline_run, TTest); each run carries the mean and
+    sample std of its differences. The t-test takes the baseline first, so t is
+    negative when the context mean exceeds it.
     """
     k = cfg.sample_size
     for category, rows, need in (("isolation", iso, k), ("sociability", soc, k), ("baseline", data, 2 * k)):
@@ -165,24 +159,20 @@ def run_paired(iso: np.ndarray, soc: np.ndarray, data: np.ndarray, cfg: Permutat
                 idx_a, idx_b = (np.sort(idx, axis=1).tolist() for idx in (idx_a, idx_b))
                 log += zip(map(tuple, idx_a), map(tuple, idx_b))
     context_run, baseline_run = (
-        PermutationRun(
-            differences=tuple(differences),
-            stats=SummaryStats(mean=stats.mean(differences), std=stats.sample_std(differences)),
-            sampled_indices=tuple(log) if log is not None else None,
-        )
+        PermutationRun(tuple(differences), stats.mean(differences), stats.sample_std(differences),
+                       tuple(log) if log is not None else None)
         for _, _, differences, log in sides
     )
-    test = paired_t_test(baseline_run.differences, context_run.differences)
-    return context_run, baseline_run, ComparisonResult(baseline=baseline_run.stats, context=context_run.stats, test=test)
+    return context_run, baseline_run, paired_t_test(baseline_run.differences, context_run.differences)
 
 
-def paired_t_test(xs, ys) -> SummaryStats:
+def paired_t_test(xs, ys) -> TTest:
     """Paired-sample t-test on index-matched sequences.
 
-    Returns the mean and sample std of the pairwise differences d = x - y,
-    t = mean(d) / (std(d)/sqrt(n)), df = n - 1, and the two-sided p-value.
-    Degenerate variance is handled, not raised: all-zero differences give
-    t = 0, p = 1; a constant nonzero difference gives signed infinity, p = 0.
+    With d = x - y: t = mean(d) / (std(d)/sqrt(n)), df = n - 1, and the
+    two-sided p-value of t. Degenerate variance is handled, not raised:
+    all-zero differences give t = 0, p = 1; a constant nonzero difference
+    gives signed infinity, p = 0.
     """
     n = len(xs)
     if n < 2:
@@ -190,12 +180,8 @@ def paired_t_test(xs, ys) -> SummaryStats:
     d = [float(a) - float(b) for a, b in zip(xs, ys, strict=True)]
     d_mean = stats.mean(d)
     d_std = stats.sample_std(d)
-    df = n - 1
     if d_std == 0.0:
-        if d_mean == 0.0:
-            return SummaryStats(mean=0.0, std=0.0, t_score=0.0, p_value=1.0, df=df)
-        t = float("inf") if d_mean > 0 else float("-inf")
-        return SummaryStats(mean=d_mean, std=0.0, t_score=t, p_value=0.0, df=df)
-    t = d_mean / (d_std / n**0.5)
-    return SummaryStats(mean=d_mean, std=d_std, t_score=t, p_value=stats.t_sf(t, df), df=df)
-
+        t = math.copysign(math.inf, d_mean) if d_mean else 0.0
+    else:
+        t = d_mean / (d_std / math.sqrt(n))
+    return TTest(t_score=t, p_value=stats.t_sf(t, n - 1), df=n - 1)

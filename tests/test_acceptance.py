@@ -31,11 +31,12 @@ def check(n, desc, cond, detail=""):
 
 
 def analyze_synthetic(ds, seed, items=ALL10, n_permutations=2000):
-    """The locations context's ComparisonResult, drawn from the streams the CLI names for analyze."""
+    """run_paired's (context_run, baseline_run, TTest) for the locations context,
+    drawn from the streams the CLI names for analyze."""
     pools, ema = categorize(ds, "locations_visited"), ds.ema[:, items]
     cfg = PermutationConfig(n_permutations=n_permutations, seed=seed)
     rngs = (child_rng(seed, "locations_visited"), child_rng(seed, "baseline"))
-    return run_paired(ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg, *rngs)[2]
+    return run_paired(ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg, *rngs)
 
 
 def test_criterion_1_baseline_near_zero_mean():
@@ -46,7 +47,7 @@ def test_criterion_1_baseline_near_zero_mean():
         ds = backfill_emas(generate(SynthConfig(n_days=150, seed=seed)))
         assert ds.usable_days >= 100
         t0 = time.perf_counter()
-        base = analyze_synthetic(ds, seed).baseline
+        _, base, _ = analyze_synthetic(ds, seed)
         elapsed = time.perf_counter() - t0
         bound = 4.0 * base.std / math.sqrt(2000)
         worst_ratio = max(worst_ratio, abs(base.mean) / bound if bound else 0.0)
@@ -66,8 +67,8 @@ def test_criterion_2_planted_effect_detection():
     for seed in range(100):
         cfg = SynthConfig(n_days=300, seed=seed, isolation_corr=correlated_block(0.6))
         ds = backfill_emas(generate(cfg))
-        comp = analyze_synthetic(ds, seed, items=POSITIVE_ONLY)
-        if comp.test.p_value < 0.001:
+        _, _, test = analyze_synthetic(ds, seed, items=POSITIVE_ONLY)
+        if test.p_value < 0.001:
             hits += 1
     elapsed = time.perf_counter() - t0
     check(
@@ -92,8 +93,8 @@ def test_criterion_3_null_false_positive_control():
     n_runs = 200
     for seed in range(n_runs):
         ds = backfill_emas(generate(SynthConfig(n_days=300, seed=seed)))
-        comp = analyze_synthetic(ds, seed)
-        if comp.test.p_value < 0.05:
+        _, _, test = analyze_synthetic(ds, seed)
+        if test.p_value < 0.05:
             hits += 1
     lo, hi = _binomial_99ci_bounds(n_runs, 0.05)
     check(

@@ -2,14 +2,16 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import weakref
 
 import pytest
 
+from emanet import cli
 from emanet.cli import _run_json, build_parser, histogram_csv, main, render_table, significance_marker
 from emanet.contexts import CONTEXT_FLAGS, DISPLAY_NAMES
 from daytable import assert_same, table
 from emanet.ingest import CSV_COLUMNS, parse_participant, write_participant
-from emanet.permtest import ComparisonResult, PermutationConfig, PermutationRun, SummaryStats
+from emanet.permtest import PermutationConfig, PermutationRun, TTest
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,27 @@ class TestCohort:
             "p02": "80347253995d93446a0ec9466945ea50e62c0fbb8035c28135e66d035751297f",
             "p03": "d6ad0d73f273f5a7d0c4ce3cbf59a16bdf90ca10c45f9bd4852108e308e91c18",
         }
+        capsys.readouterr()
+
+    def test_no_run_outlives_its_participant(self, tmp_path, monkeypatch, capsys):
+        # Under --verbose-indices a run holds every sampled index; cohort keeps
+        # each participant's rendered row, never its runs.
+        indir = tmp_path / "cohort"
+        indir.mkdir()
+        for i in range(3):
+            assert main(["synth", "--out", str(indir / f"p{i:02d}.csv"), "--days", "150", "--seed", str(50 + i)]) == 0
+        refs, real_run_paired = [], cli.run_paired
+
+        def run_paired(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier participant's run is still alive"
+            result = real_run_paired(*args, **kwargs)
+            refs.extend(weakref.ref(run) for run in result[:2])
+            return result
+
+        monkeypatch.setattr(cli, "run_paired", run_paired)
+        assert main(["cohort", str(indir), "--context", "locations", "--permutations", "100", "--verbose-indices",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
         capsys.readouterr()
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
@@ -461,14 +484,12 @@ class TestHelpers:
     @pytest.mark.parametrize("t, cell, value", [(float("inf"), "inf", "inf"), (float("-inf"), "-inf", "-inf"),
                                                 (-2.5, "-2.50", -2.5)])
     def test_t_is_spelled_alike_in_table_and_run_json(self, t, cell, value):
-        stats = SummaryStats(mean=0.0, std=0.0)
-        test = SummaryStats(mean=1.0, std=0.0, t_score=t, p_value=0.0, df=9)
-        comparison = ComparisonResult(baseline=stats, context=stats, test=test)
-        row = render_table("p01", "locations_visited", "all", comparison).splitlines()[4]
+        run = PermutationRun((0.0,) * 10, mean=0.0, std=0.0)
+        result = (run, run, TTest(t_score=t, p_value=0.0, df=9))
+        row = render_table("p01", "locations_visited", "all", result).splitlines()[4]
         assert row.split()[-2:] == [cell, "*"]
         cfg = PermutationConfig(n_permutations=10)
-        run = PermutationRun((0.0,) * 10, stats)
-        payload = json.loads(_run_json("p01", "locations_visited", "all", cfg, run, comparison, False, False))
+        payload = json.loads(_run_json("p01", "locations_visited", "all", cfg, run, result, False, False))
         assert payload["comparison"]["t_score"] == value
 
     def test_histogram_degenerate_distributions(self):
