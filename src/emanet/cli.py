@@ -70,7 +70,7 @@ def significance_marker(p: float) -> str:
 
 
 def format_p(p: float) -> str:
-    if p == 0.0 or p < P_FLOOR:
+    if p < P_FLOOR:
         return "< 1e-300"
     return format(p, ".6g")
 
@@ -94,7 +94,7 @@ def histogram_csv(baseline_diffs, context_diffs) -> str:
         width = 1.0
     lo = float(pooled.min())
     hi = float(pooled.max())
-    nbins = max(1, int(math.ceil((hi - lo) / width))) if hi > lo else 1
+    nbins = max(1, math.ceil((hi - lo) / width))
     edges = lo + width * np.arange(nbins + 1)
     if edges[-1] < hi:
         edges = np.append(edges, edges[-1] + width)
@@ -343,9 +343,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--context", choices=list(CONTEXT_FLAGS), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--subset", choices=SUBSETS, default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--permutations", type=int, default=2000)
-    p.add_argument("--sample-size", type=int, default=25)
+    p.add_argument("--seed", type=int, default=PermutationConfig.seed)
+    p.add_argument("--permutations", type=int, default=PermutationConfig.n_permutations)
+    p.add_argument("--sample-size", type=int, default=PermutationConfig.sample_size)
     p.add_argument("--emit-differences", action="store_true", help="include per-iteration differences in JSON output")
     p.add_argument("--verbose-indices", action="store_true", help="log per-iteration sampled day indices")
 
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="schema check and per-context eligibility report")
     p.add_argument("input")
-    p.add_argument("--min-days", type=int, default=25)
+    p.add_argument("--min-days", type=int, default=PermutationConfig.sample_size)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="run one context's permutation analysis end to end")
@@ -374,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with SynthConfig keys (overrides other flags)")
     p.add_argument("--days", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cadence", type=int, default=3)
-    p.add_argument("--feature", choices=SENSOR_FEATURES, default="locations_visited")
-    p.add_argument("--mix", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--cadence", type=int, default=SynthConfig.report_cadence)
+    p.add_argument("--feature", choices=SENSOR_FEATURES, default=SynthConfig.planted_feature)
+    p.add_argument("--mix", type=float, default=SynthConfig.context_mix)
     p.add_argument("--planted-r", type=float, default=0.0, help="latent correlation among positive items in isolation")
     p.add_argument("--null", action="store_true", help="identical correlation targets for both categories")
-    p.add_argument("--missing-rate", type=float, default=0.0)
+    p.add_argument("--missing-rate", type=float, default=SynthConfig.missing_sensor_rate)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("export-network", help="export an all-day category network as JSON or DOT")

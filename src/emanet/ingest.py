@@ -103,13 +103,13 @@ class ParticipantDataset:
         return int(np.count_nonzero(self.has_ema))
 
 
-def _rows(fh):
-    """(row number, cells) of each CSV row, the header being row 0.
+def _rows(lines):
+    """(row number, cells) of each CSV row of lines, the header being row 0.
 
     A CSV-level error, such as a field over the csv module's size limit or,
     on Python 3.10, a NUL byte, is a SchemaViolation of the row being read.
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     rownum = 0
     while True:
         try:
@@ -178,26 +178,45 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 def parse_participant(path) -> ParticipantDataset:
     """Parse one participant CSV into a date-sorted dataset.
 
-    A file in write_participant's own form is decoded in bulk; every other
-    file goes through the row loop, the only judge of what is valid and of
-    every error message. Malformed rows raise SchemaViolation with the
-    offending row and column, the first in file order; nothing is silently
-    dropped. The participant id is the file name's stem.
+    The file is read once, as bytes, and one leading UTF-8 byte-order mark is
+    dropped. A file in write_participant's own form is decoded in bulk; every
+    other file goes through the row loop, the only judge of what is valid and
+    of every error message. Malformed rows raise SchemaViolation with the
+    offending row and column, and text that is not UTF-8 raises
+    UnicodeDecodeError, whichever comes first in file order; nothing is
+    silently dropped. The participant id is the file name's stem.
     """
     path = pathlib.Path(path)
-    participant_id = path.stem
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        text = ""  # the row loop reports any schema error ahead of the bad byte
-    ds = _decode_written_form(text, participant_id)
-    return ds if ds is not None else _parse_rows(path, participant_id)
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
+    ds = _decode_written_form(data, path.stem)
+    return ds if ds is not None else _parse_rows(data, path.stem)
 
 
-def _decode_written_form(text: str, participant_id: str) -> ParticipantDataset | None:
+def _by_date(participant_id, dates, ema, reported, counts) -> ParticipantDataset:
+    """The dataset of decoded rows given in file order, sorted by date.
+
+    dates: one per row, each unique; ema: ten scores per row, zeros where not
+    reported; reported: one bool per row; counts: six per row, flat or nested.
+    """
+    dates = np.asarray(dates, dtype="datetime64[D]")
+    order = np.argsort(dates)
+    n = len(dates)
+    return ParticipantDataset(
+        participant_id=participant_id,
+        dates=dates[order],
+        ema=np.asarray(ema, dtype=np.int8).reshape(n, len(EMA_ITEMS))[order],
+        ema_source=np.where(reported, REPORTED, NO_EMA).astype(np.int8)[order],
+        sensors=np.array(counts, dtype=np.int64).reshape(n, len(SENSOR_FEATURES))[order],
+    )
+
+
+def _decode_written_form(data: bytes, participant_id: str) -> ParticipantDataset | None:
     """The dataset of a file in write_participant's own form, equal to the row
     loop's; None for any other file, valid or not."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return None
     header, _, body = text.partition("\n")
     if header.removesuffix("\r") != _HEADER or not body.endswith("\n"):
         return None
@@ -210,76 +229,61 @@ def _decode_written_form(text: str, participant_id: str) -> ParticipantDataset |
         ordinals = [dt.date.fromisoformat(line[0]).toordinal() for line in lines]
     except ValueError:
         return None
+    if len(set(ordinals)) != len(ordinals):  # a duplicate date
+        return None
     counts = [int(c) if c else NOT_MEASURED for line in lines for c in line[2:]]
     if max(counts) > MAX_COUNT:
         return None
-    dates = (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
-    order = np.argsort(dates)
-    dates = dates[order]
-    if np.any(dates[1:] == dates[:-1]):
-        return None
-    n = len(lines)
     reported = np.array([len(line[1]) > len(EMA_ITEMS) for line in lines], dtype=bool)
     # An empty EMA group is commas only, so dropping commas leaves the reported rows' digits.
     digits = "".join(line[1] for line in lines).replace(",", "").encode("ascii")
-    ema = np.zeros((n, len(EMA_ITEMS)), dtype=np.int8)
+    ema = np.zeros((len(lines), len(EMA_ITEMS)), dtype=np.int8)
     ema[reported] = np.frombuffer(digits, dtype=np.uint8).reshape(-1, len(EMA_ITEMS)) - ord("0")
-    return ParticipantDataset(
-        participant_id=participant_id,
-        dates=dates,
-        ema=ema[order],
-        ema_source=np.where(reported, REPORTED, NO_EMA).astype(np.int8)[order],
-        sensors=np.array(counts, dtype=np.int64).reshape(n, len(SENSOR_FEATURES))[order],
-    )
+    dates = (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return _by_date(participant_id, dates, ema, reported, counts)
 
 
-def _parse_rows(path: pathlib.Path, participant_id: str) -> ParticipantDataset:
-    """The row loop: every file's validity and every SchemaViolation."""
-    # utf-8-sig also accepts a file saved with a byte-order mark.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = _rows(fh)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise SchemaViolation(0, "date", "empty file, header required") from None
-        if tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise SchemaViolation(0, "header", f"expected columns {','.join(CSV_COLUMNS)}")
-        dates, ema, ema_source, sensors = [], [], [], []
-        seen_dates = {}
-        for rownum, row in rows:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise SchemaViolation(rownum, "row", f"expected {len(CSV_COLUMNS)} cells, got {len(row)}")
-            cells = [c.strip() for c in row]
-            date = _parse_date(cells[0], rownum)
-            if date in seen_dates:
-                raise SchemaViolation(rownum, "date", f"duplicate date {date.isoformat()} (also row {seen_dates[date]})")
-            seen_dates[date] = rownum
+def _parse_rows(data: bytes, participant_id: str) -> ParticipantDataset:
+    """The row loop: every file's validity and every SchemaViolation.
 
-            ema_cells = cells[1 : 1 + len(EMA_ITEMS)]
-            n_present = sum(1 for c in ema_cells if c != "")
-            if n_present == 0:
-                ema.append((0,) * len(EMA_ITEMS))
-                ema_source.append(NO_EMA)
-            elif n_present == len(EMA_ITEMS):
-                ema.append([_parse_score(raw, rownum, col) for col, raw in zip(EMA_COLUMNS, ema_cells)])
-                ema_source.append(REPORTED)
-            else:
-                missing = next(col for col, c in zip(EMA_COLUMNS, ema_cells) if c == "")
-                raise SchemaViolation(rownum, missing, "EMA cells must be all present or all empty per row")
-            sensors.append([_parse_count(raw, rownum, f) for f, raw in zip(SENSOR_FEATURES, cells[1 + len(EMA_ITEMS) :])])
-            dates.append(date)
-    n = len(dates)
-    dates = np.array(dates, dtype="datetime64[D]")
-    order = np.argsort(dates)
-    return ParticipantDataset(
-        participant_id=participant_id,
-        dates=dates[order],
-        ema=np.array(ema, dtype=np.int8).reshape(n, len(EMA_ITEMS))[order],
-        ema_source=np.array(ema_source, dtype=np.int8)[order],
-        sensors=np.array(sensors, dtype=np.int64).reshape(n, len(SENSOR_FEATURES))[order],
-    )
+    data is the file's bytes after any byte-order mark. Each line is decoded
+    as UTF-8 only when the csv reader reaches it, so a byte that is not UTF-8
+    raises UnicodeDecodeError after every earlier row has been judged.
+    bytes.splitlines breaks at LF, CR and CRLF, as a file opened with
+    newline="" does.
+    """
+    rows = _rows(line.decode("utf-8") for line in data.splitlines(keepends=True))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaViolation(0, "date", "empty file, header required") from None
+    if tuple(h.strip() for h in header) != CSV_COLUMNS:
+        raise SchemaViolation(0, "header", f"expected columns {','.join(CSV_COLUMNS)}")
+    ema, reported, sensors = [], [], []
+    seen_dates = {}
+    for rownum, row in rows:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise SchemaViolation(rownum, "row", f"expected {len(CSV_COLUMNS)} cells, got {len(row)}")
+        cells = [c.strip() for c in row]
+        date = _parse_date(cells[0], rownum)
+        if date in seen_dates:
+            raise SchemaViolation(rownum, "date", f"duplicate date {date.isoformat()} (also row {seen_dates[date]})")
+        seen_dates[date] = rownum
+
+        ema_cells = cells[1 : 1 + len(EMA_ITEMS)]
+        n_present = sum(1 for c in ema_cells if c != "")
+        if n_present == 0:
+            ema.append((0,) * len(EMA_ITEMS))
+        elif n_present == len(EMA_ITEMS):
+            ema.append([_parse_score(raw, rownum, col) for col, raw in zip(EMA_COLUMNS, ema_cells)])
+        else:
+            missing = next(col for col, c in zip(EMA_COLUMNS, ema_cells) if c == "")
+            raise SchemaViolation(rownum, missing, "EMA cells must be all present or all empty per row")
+        reported.append(n_present > 0)
+        sensors.append([_parse_count(raw, rownum, f) for f, raw in zip(SENSOR_FEATURES, cells[1 + len(EMA_ITEMS) :])])
+    return _by_date(participant_id, list(seen_dates), ema, reported, sensors)
 
 
 def write_participant(ds: ParticipantDataset, path) -> None:
