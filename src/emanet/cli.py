@@ -1,7 +1,10 @@
 """Command-line entry point: validate, analyze, cohort, synth, export-network.
 
-Exit codes: 0 success, 2 bad input file or flag value, 3 statistical
-precondition failure (a pool too small for the requested sample size).
+Exit codes: 0 success, 2 bad input file, flag value or failed write, 3
+statistical precondition failure (a pool too small for the requested sample
+size). Each fault ends in one line on stderr that names its file, if any.
+cohort sets aside, with the same words, a participant whose own file cannot
+be read, parsed or analysed; any other fault ends the run.
 """
 
 from __future__ import annotations
@@ -106,14 +109,6 @@ def histogram_csv(baseline_diffs, context_diffs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stats_head(width: int, corner: str, feature: str) -> list:
-    """The two heading lines over _stats_row rows whose labels are width wide."""
-    return [
-        f"{'':{width}s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
-        f"{corner:{width}s}{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}",
-    ]
-
-
 def _stats_row(label: str, result) -> str:
     """label, then baseline and context mean/std, t and significance marker of
     one run_paired result (context_run, baseline_run, TTest)."""
@@ -124,19 +119,24 @@ def _stats_row(label: str, result) -> str:
     ).rstrip()
 
 
+def _stats_table(width: int, corner: str, feature: str, rows: list, notes: list) -> str:
+    """Two heading lines over _stats_row rows whose labels are width wide, a
+    blank line, the note lines (each block ending in a blank line) and TABLE_FOOTER."""
+    lines = [
+        f"{'':{width}s}{'Baseline':22s}{DISPLAY_NAMES[feature]}",
+        f"{corner:{width}s}{'x̄':>8s}{'σ':>10s}    {'x̄':>8s}{'σ':>10s}{'t':>12s}",
+        *rows,
+        "",
+        *notes,
+    ]
+    return "\n".join(lines) + "\n" + TABLE_FOOTER
+
+
 def render_table(participant_id: str, feature: str, subset_flag: str, result) -> str:
     test = result[2]
-    lines = [
-        f"Participant: {participant_id}",
-        "",
-        *_stats_head(16, "", feature),
-        _stats_row(f"{SUBSETS[subset_flag][0]:16s}", result),
-        "",
-        f"p = {format_p(test.p_value)}, df = {test.df}",
-        "",
-        TABLE_FOOTER.rstrip(),
-    ]
-    return "\n".join(lines) + "\n"
+    row = _stats_row(f"{SUBSETS[subset_flag][0]:16s}", result)
+    notes = [f"p = {format_p(test.p_value)}, df = {test.df}", ""]
+    return f"Participant: {participant_id}\n\n" + _stats_table(16, "", feature, [row], notes)
 
 
 def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_differences, verbose_indices):
@@ -265,22 +265,12 @@ def cmd_cohort(args) -> int:
         try:
             rows.append(_stats_row(f"{pid:10s}",
                                    analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")))
-        except SchemaViolation as exc:
-            excluded.append((pid, f"schema violation: {exc}"))
-        except InsufficientPool as exc:
-            excluded.append((pid, str(exc)))
-        except UnicodeDecodeError as exc:
-            excluded.append((pid, f"not UTF-8 text ({exc.reason})"))
-        except OSError as exc:
-            excluded.append((pid, exc.strerror))
-    lines = [*_stats_head(10, "ID", CONTEXT_FLAGS[args.context]), *rows, ""]
-    if excluded:
-        lines.append("Excluded participants:")
-        for pid, reason in excluded:
-            lines.append(f"  {pid}: {reason}")
-        lines.append("")
-    lines.append(TABLE_FOOTER.rstrip())
-    table = "\n".join(lines) + "\n"
+        except (OSError, UnicodeDecodeError, SchemaViolation, InsufficientPool) as exc:
+            if isinstance(exc, OSError) and exc.filename != str(f):
+                raise  # a fault in writing outputs is the run's, not the participant's
+            excluded.append(f"  {pid}: {_fault(exc)}")
+    notes = ["Excluded participants:", *excluded, ""] if excluded else []
+    table = _stats_table(10, "ID", CONTEXT_FLAGS[args.context], rows, notes)
     (outdir / "cohort_table.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     if not rows:
@@ -395,7 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _as_typed(args, filename) -> str:
+def _fault(exc, path=None) -> str:
+    """The words of one expected fault, naming path when one is given."""
+    if isinstance(exc, FileNotFoundError):
+        words = "file not found"
+    elif isinstance(exc, OSError):
+        words = exc.strerror
+    elif isinstance(exc, UnicodeDecodeError):
+        words = f"not UTF-8 text ({exc.reason})"
+    elif isinstance(exc, SchemaViolation):
+        words = f"schema violation: {exc}"
+    elif isinstance(exc, InvalidConfig):
+        words = f"invalid permutation config: {exc}"
+    elif isinstance(exc, InvalidSynthConfig):
+        words = f"invalid synth config: {exc}"
+    else:  # InvalidFlag, InsufficientPool
+        words = str(exc)
+    return words if path is None else f"{words}: {path}"
+
+
+def _as_typed(args, filename):
     """filename, spelled as on the command line when it is the input path."""
     given = getattr(args, "input", None)
     return given if given is not None and str(Path(given)) == filename else filename
@@ -406,24 +415,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {_as_typed(args, exc.filename)}", file=sys.stderr)
-    except OSError as exc:
-        print(f"error: {exc.strerror}: {_as_typed(args, exc.filename)}", file=sys.stderr)
-    except SchemaViolation as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-    except UnicodeDecodeError as exc:
-        print(f"error: not UTF-8 text ({exc.reason}): {args.input}", file=sys.stderr)
-    except InvalidConfig as exc:
-        print(f"error: invalid permutation config: {exc}", file=sys.stderr)
-    except InvalidSynthConfig as exc:
-        print(f"error: invalid synth config: {exc}", file=sys.stderr)
-    except InvalidFlag as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except InsufficientPool as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    return EXIT_INPUT
+    except (OSError, UnicodeDecodeError, SchemaViolation, InsufficientPool, InvalidConfig, InvalidSynthConfig,
+            InvalidFlag) as exc:
+        filename = args.input if isinstance(exc, UnicodeDecodeError) else getattr(exc, "filename", None)
+        line = _fault(exc, _as_typed(args, filename))
+        print(line if isinstance(exc, SchemaViolation) else f"error: {line}", file=sys.stderr)
+        return EXIT_PRECONDITION if isinstance(exc, InsufficientPool) else EXIT_INPUT
 
 
 if __name__ == "__main__":
