@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -58,10 +57,6 @@ TABLE_FOOTER = (
     "overlapping day sets, so paired t-test independence assumptions are\n"
     "approximate.\n"
 )
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def significance_marker(p: float) -> str:
@@ -170,20 +165,23 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_diffe
 
 
 def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: Path, stream_prefix: str = ""):
-    """Full single-participant pipeline under the run flags of args (see
-    _add_run_flags) and their checked cfg; writes all artifacts into outdir.
+    """Full single-participant pipeline over one read of input_path; writes
+    all artifacts into outdir. The seed, permutation count and sample size
+    come from cfg; args gives --context, --subset, --emit-differences and
+    --verbose-indices.
 
-    Returns run_paired's (context_run, baseline_run, TTest). Raises
-    SchemaViolation or InsufficientPool.
+    Returns run_paired's (context_run, baseline_run, TTest). Raises OSError,
+    UnicodeDecodeError, SchemaViolation or InsufficientPool.
     """
-    ds = backfill_emas(parse_participant(input_path))
+    data = input_path.read_bytes()
+    ds = backfill_emas(parse_participant(data, input_path.stem))
     feature = CONTEXT_FLAGS[args.context]
     items = SUBSETS[args.subset][1]
     pools = categorize(ds, feature)
     ema = ds.ema[:, items]
     result = run_paired(
         ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg,
-        child_rng(args.seed, stream_prefix + feature), child_rng(args.seed, stream_prefix + BASELINE),
+        child_rng(cfg.seed, stream_prefix + feature), child_rng(cfg.seed, stream_prefix + BASELINE),
         log_indices=args.verbose_indices,
     )
     ctx_run, base_run, _ = result
@@ -208,14 +206,14 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
 
     manifest = {
         "tool_version": __version__,
-        "master_seed": args.seed,
-        "inputs": {input_path.name: _sha256(input_path)},
+        "master_seed": cfg.seed,
+        "inputs": {input_path.name: hashlib.sha256(data).hexdigest()},
         "config": {
             "command": "analyze",
             "context": args.context,
             "subset": args.subset,
-            "n_permutations": args.permutations,
-            "sample_size": args.sample_size,
+            "n_permutations": cfg.n_permutations,
+            "sample_size": cfg.sample_size,
             "sampler": SAMPLER,
             "emit_differences": args.emit_differences,
             "verbose_indices": args.verbose_indices,
@@ -229,7 +227,8 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
 def cmd_validate(args) -> int:
     if args.min_days < 2:
         raise InvalidFlag(f"--min-days must be >= 2, got {args.min_days}")
-    ds = backfill_emas(parse_participant(Path(args.input)))
+    path = Path(args.input)
+    ds = backfill_emas(parse_participant(path.read_bytes(), path.stem))
     w = max(len(name) for name in DISPLAY_NAMES.values()) + 2
     print(f"Participant {ds.participant_id}: {len(ds.dates)} days, {ds.usable_days} with EMA")
     print()
@@ -254,13 +253,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_cohort(args) -> int:
     cfg = PermutationConfig(args.permutations, args.sample_size, args.seed)
-    os.scandir(args.inputs).close()  # a missing path or a file raises its OSError before any output
+    # Listed before any output exists: a missing path or a file raises its OSError here.
+    inputs = sorted(f for f in Path(args.input).iterdir() if f.name.endswith(".csv"))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # Each row is rendered as soon as its run returns: holding the runs
     # (every sampled index under --verbose-indices) would raise peak memory.
     rows, excluded = [], []
-    for f in sorted(Path(args.inputs).glob("*.csv")):
+    for f in inputs:
         pid = f.stem
         try:
             rows.append(_stats_row(f"{pid:10s}",
@@ -312,7 +312,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_network(args) -> int:
-    ds = backfill_emas(parse_participant(Path(args.input)))
+    path = Path(args.input)
+    ds = backfill_emas(parse_participant(path.read_bytes(), path.stem))
     if args.context == BASELINE:
         pool, rows = BASELINE, baseline_pool(ds)
     else:
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cohort", help="analyze every participant CSV in a directory")
-    p.add_argument("inputs")
+    p.add_argument("input", metavar="inputs")
     _add_run_flags(p)
     p.set_defaults(func=cmd_cohort)
 

@@ -8,20 +8,19 @@ a reported EMA is copied back onto up to two preceding calendar days that lack
 their own report. Days left without an EMA after backfill are excluded from
 all analysis.
 
-Parsing has two paths with one result. A file exactly as write_participant
-writes it (the header verbatim; each row a date, ten scores or ten empty
-cells, six plain counts; LF or CRLF line ends) is decoded in bulk, with one
-regular expression over the whole text. Any other file, valid or not, goes
-through the row loop, which alone decides what is valid and words every
-SchemaViolation; the bulk path only ever accepts what the row loop accepts,
-with the same dataset.
+Parsing decodes bytes the caller has read, along two paths with one result. A
+file exactly as write_participant writes it (the header verbatim; each row a
+date, ten scores or ten empty cells, six plain counts; LF or CRLF line ends)
+is decoded in bulk, with one regular expression over the whole text. Any other
+file, valid or not, goes through the row loop, which alone decides what is
+valid and words every SchemaViolation; the bulk path only ever accepts what
+the row loop accepts, with the same dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import pathlib
 import re
 from dataclasses import dataclass
 
@@ -175,21 +174,20 @@ _WRITTEN_LINE = re.compile(
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-def parse_participant(path) -> ParticipantDataset:
-    """Parse one participant CSV into a date-sorted dataset.
+def parse_participant(data: bytes, participant_id: str) -> ParticipantDataset:
+    """Decode one participant CSV's bytes into a date-sorted dataset.
 
-    The file is read once, as bytes, and one leading UTF-8 byte-order mark is
-    dropped. A file in write_participant's own form is decoded in bulk; every
-    other file goes through the row loop, the only judge of what is valid and
-    of every error message. Malformed rows raise SchemaViolation with the
-    offending row and column, and text that is not UTF-8 raises
-    UnicodeDecodeError, whichever comes first in file order; nothing is
-    silently dropped. The participant id is the file name's stem.
+    The caller reads the file and names the participant (cli uses the file
+    name's stem). One leading UTF-8 byte-order mark is dropped. A file in
+    write_participant's own form is decoded in bulk; every other file goes
+    through the row loop, the only judge of what is valid and of every error
+    message. Malformed rows raise SchemaViolation with the offending row and
+    column, and text that is not UTF-8 raises UnicodeDecodeError, whichever
+    comes first in file order; nothing is silently dropped.
     """
-    path = pathlib.Path(path)
-    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
-    ds = _decode_written_form(data, path.stem)
-    return ds if ds is not None else _parse_rows(data, path.stem)
+    data = data.removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
+    ds = _decode_written_form(data, participant_id)
+    return ds if ds is not None else _parse_rows(data, participant_id)
 
 
 def _by_date(participant_id, dates, ema, reported, counts) -> ParticipantDataset:

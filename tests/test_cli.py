@@ -1,4 +1,5 @@
 import argparse
+import collections
 import datetime as dt
 import hashlib
 import json
@@ -293,6 +294,17 @@ class TestCohort:
         assert capsys.readouterr() == ("", f"error: File exists: {out / 'p01'}\n")
         assert not (out / "cohort_table.txt").exists()
 
+    def test_output_directory_made_in_the_input_directory_is_not_a_participant(self, planted_csv, tmp_path, capsys):
+        # The input directory is listed before the output directory is made.
+        indir = tmp_path / "cohort"
+        indir.mkdir()
+        (indir / "p00.csv").write_bytes(planted_csv.read_bytes())
+        out = indir / "res.csv"
+        assert main(["cohort", str(indir), "--context", "locations", "--permutations", "50", "--out", str(out)]) == 0
+        assert "Excluded participants" not in (out / "cohort_table.txt").read_text(encoding="utf-8")
+        assert sorted(p.name for p in out.iterdir()) == ["cohort_table.txt", "p00"]
+        capsys.readouterr()
+
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -311,7 +323,7 @@ class TestSynth:
         path = tmp_path / "s.csv"
         assert main(["synth", "--out", str(path), "--days", "50", "--seed", "2",
                      "--missing-rate", "0.2"]) == 0
-        ds = parse_participant(path)
+        ds = parse_participant(path.read_bytes(), path.stem)
         assert len(ds.dates) == 50
 
     def test_config_file(self, tmp_path):
@@ -320,7 +332,7 @@ class TestSynth:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         path = tmp_path / "s.csv"
         assert main(["synth", "--out", str(path), "--config", str(cfg_path)]) == 0
-        ds = parse_participant(path)
+        ds = parse_participant(path.read_bytes(), path.stem)
         assert len(ds.dates) == 40
         assert ds.usable_days == 20
 
@@ -444,6 +456,10 @@ BAD_INPUTS = [
     pytest.param(["export-network", "{dir}", "--context", "locations"], "error: Is a directory: d",
                  id="export-directory"),
     pytest.param(["validate", "./{dir}/nope.csv"], "error: file not found: ./d/nope.csv", id="validate-missing"),
+    pytest.param(["analyze", "./{dir}/nope.csv", "--context", "locations", "--out", "{out}"],
+                 "error: file not found: ./d/nope.csv", id="analyze-missing"),
+    pytest.param(["export-network", "./{dir}/nope.csv", "--context", "locations"],
+                 "error: file not found: ./d/nope.csv", id="export-missing"),
     # A schema violation is the one fault line without the "error: " prefix.
     pytest.param(["validate", "{bad_date}"], "schema violation: row 3, column 'date': unparseable date: '2023-01-03x'",
                  id="validate-schema-violation"),
@@ -541,11 +557,42 @@ def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path
 def test_utf8_bom_round_trip(planted_csv, tmp_path, capsys):
     bom = tmp_path / planted_csv.name
     bom.write_bytes(b"\xef\xbb\xbf" + planted_csv.read_bytes())
-    assert_same(parse_participant(bom), parse_participant(planted_csv))
+    assert_same(parse_participant(bom.read_bytes(), bom.stem), parse_participant(planted_csv.read_bytes(), "p01"))
     assert main(["validate", str(planted_csv)]) == 0
     plain = capsys.readouterr().out
     assert main(["validate", str(bom)]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{indir}/p00.csv"],
+    ["analyze", "{indir}/p00.csv", "--context", "locations", "--permutations", "50", "--out", "{out}/p00"],
+    ["export-network", "{indir}/p00.csv", "--context", "locations"],
+    ["cohort", "{indir}", "--context", "locations", "--permutations", "50", "--out", "{out}"],
+], ids=["validate", "analyze", "export-network", "cohort"])
+def test_each_input_is_read_once_and_its_bytes_digested(argv, planted_csv, tmp_path, monkeypatch, capsys):
+    # p00 starts with a byte-order mark: manifest.json digests the file's bytes, mark included.
+    indir, out = tmp_path / "cohort", tmp_path / "out"
+    indir.mkdir()
+    (indir / "p00.csv").write_bytes(b"\xef\xbb\xbf" + planted_csv.read_bytes())
+    (indir / "p01.csv").write_bytes(planted_csv.read_bytes())
+    reads, read_bytes = collections.Counter(), Path.read_bytes
+
+    def counted(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert main([a.format(indir=indir, out=out) for a in argv]) == 0
+    monkeypatch.undo()
+    pids = ["p00", "p01"] if argv[0] == "cohort" else ["p00"]
+    assert reads == {f"{pid}.csv": 1 for pid in pids}
+    manifests = {m.parent.name: json.loads(m.read_text(encoding="utf-8")) for m in out.glob("*/manifest.json")}
+    assert sorted(manifests) == (pids if argv[0] in ("analyze", "cohort") else [])
+    for pid, manifest in manifests.items():
+        data = (indir / f"{pid}.csv").read_bytes()
+        assert manifest["inputs"] == {f"{pid}.csv": hashlib.sha256(data).hexdigest()}
+    capsys.readouterr()
 
 
 def test_cohort_excludes_unreadable_files(planted_csv, tmp_path, capsys):
@@ -556,16 +603,18 @@ def test_cohort_excludes_unreadable_files(planted_csv, tmp_path, capsys):
     (indir / "p02.csv").mkdir()
     (indir / "p03.csv").write_bytes(planted_csv.read_bytes().replace(b"\n2023-01-05,", b"\n" + b"9" * 200_000 + b","))
     assert main(["synth", "--out", str(indir / "p04.csv"), "--days", "30", "--seed", "1"]) == 0
+    (indir / "p05.csv").symlink_to(tmp_path / "gone.csv")
     out = tmp_path / "out"
     assert main(["cohort", str(indir), "--context", "locations", "--permutations", "50", "--out", str(out)]) == 0
     table = (out / "cohort_table.txt").read_text(encoding="utf-8")
     rows, _, excluded = table.partition("Excluded participants:\n")
     assert [line.split()[0] for line in rows.splitlines()[2:-1]] == ["p00"]
-    assert excluded.splitlines()[:5] == [
+    assert excluded.splitlines()[:6] == [
         "  p01: not UTF-8 text (invalid continuation byte)",
         "  p02: Is a directory",
         "  p03: schema violation: row 5, column 'row': field larger than field limit (131072)",
         "  p04: isolation pool has 15 days, need 25",
+        "  p05: file not found",
         "",
     ]
     assert capsys.readouterr().err == ""

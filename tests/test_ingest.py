@@ -21,12 +21,6 @@ def csv_bytes(rows):
     return "".join(",".join(str(c) for c in row) + "\n" for row in [CSV_COLUMNS, *rows]).encode("utf-8")
 
 
-def make_csv(tmp_path, rows, name="p01.csv"):
-    path = tmp_path / name
-    path.write_bytes(csv_bytes(rows))
-    return path
-
-
 def full_row(date, ema=None, sensors=None):
     ema_cells = [""] * 10 if ema is None else list(ema)
     sensor_cells = ["1"] * 6 if sensors is None else list(sensors)
@@ -63,111 +57,103 @@ def make_dataset(report_days, n_days, pid="p"):
 
 
 class TestParse:
-    def test_basic_parse(self, tmp_path):
+    def test_basic_parse(self):
         rows = [full_row(day(0)), full_row(day(1)), full_row(day(2), ema=[1] * 10)]
-        ds = parse_participant(make_csv(tmp_path, rows))
+        ds = parse_participant(csv_bytes(rows), "p01")
         assert len(ds.dates) == 3
         assert sources(ds) == ["none", "none", "reported"]
         assert ds.participant_id == "p01"
         assert ds.usable_days == 1
 
-    def test_ema_out_of_range(self, tmp_path):
+    def test_ema_out_of_range(self):
         rows = [full_row(day(0), ema=[1, 4, 1, 1, 1, 1, 1, 1, 1, 1])]
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
         assert exc.value.row == 1
         assert exc.value.column == "ema_social"
 
-    def test_duplicate_date(self, tmp_path):
+    def test_duplicate_date(self):
         rows = [full_row(day(0)), full_row(day(0))]
         with pytest.raises(SchemaViolation, match="duplicate date"):
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
 
-    def test_unparseable_date(self, tmp_path):
+    def test_unparseable_date(self):
         rows = [full_row(day(0))]
         rows[0][0] = "01/02/2023"
         with pytest.raises(SchemaViolation, match="unparseable date"):
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
 
     @pytest.mark.parametrize("raw", ["20230101", "2023-W01-1", "2023-1-01", "２０２３-01-01"])
-    def test_dates_must_be_ascii_yyyy_mm_dd(self, tmp_path, raw):
+    def test_dates_must_be_ascii_yyyy_mm_dd(self, raw):
         rows = [full_row(day(0))]
         rows[0][0] = raw
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
         assert str(exc.value) == f"row 1, column 'date': unparseable date: {raw!r}"
 
-    def test_csv_level_error_is_schema_violation(self, tmp_path):
+    def test_csv_level_error_is_schema_violation(self):
         rows = [full_row(day(0)), full_row(day(1))]
         rows[1][0] = "x" * 200_000
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
         assert (exc.value.row, exc.value.column) == (2, "row")
         assert "field larger than field limit" in exc.value.reason
 
-    def test_count_must_fit_int64(self, tmp_path):
+    def test_count_must_fit_int64(self):
         rows = [full_row(day(0), sensors=[str(MAX_COUNT)] + ["1"] * 5)]
-        assert parse_participant(make_csv(tmp_path, rows)).sensors[0, 0] == MAX_COUNT
+        assert parse_participant(csv_bytes(rows), "p01").sensors[0, 0] == MAX_COUNT
         rows = [full_row(day(0), sensors=[str(10**30)] + ["1"] * 5)]
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
         assert (exc.value.row, exc.value.column) == (1, "locations_visited")
 
     @pytest.mark.parametrize("raw", ["1_000", "+3", "１", "٣", pytest.param("9" * 5000, id="5000-digits")])
     @pytest.mark.parametrize("column", ["ema_calm", "locations_visited"])
-    def test_integers_must_be_ascii_digits(self, tmp_path, raw, column):
+    def test_integers_must_be_ascii_digits(self, raw, column):
         row = full_row(day(0), ema=[1] * 10)
         row[CSV_COLUMNS.index(column)] = raw
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, [row]))
+            parse_participant(csv_bytes([row]), "p01")
         assert str(exc.value) == f"row 1, column {column!r}: not an integer: {raw!r}"
 
-    def test_negative_count(self, tmp_path):
+    def test_negative_count(self):
         rows = [full_row(day(0), sensors=["-1", "1", "1", "1", "1", "1"])]
         with pytest.raises(SchemaViolation, match="negative count"):
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
 
-    def test_partial_ema_row(self, tmp_path):
+    def test_partial_ema_row(self):
         ema = ["1"] * 9 + [""]
         rows = [full_row(day(0), ema=ema)]
         with pytest.raises(SchemaViolation, match="all present or all empty"):
-            parse_participant(make_csv(tmp_path, rows))
+            parse_participant(csv_bytes(rows), "p01")
 
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    def test_bad_header(self):
         with pytest.raises(SchemaViolation, match="expected columns"):
-            parse_participant(path)
+            parse_participant(b"a,b,c\n1,2,3\n", "bad")
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            parse_participant(tmp_path / "nope.csv")
-
-    def test_rows_sorted_by_date(self, tmp_path):
+    def test_rows_sorted_by_date(self):
         rows = [full_row(day(2)), full_row(day(0)), full_row(day(1))]
-        ds = parse_participant(make_csv(tmp_path, rows))
+        ds = parse_participant(csv_bytes(rows), "p01")
         assert ds.dates.tolist() == [day(0), day(1), day(2)]
 
     @pytest.mark.parametrize("data, expected", FIRST_FAULTS)
-    def test_first_fault_in_file_order_wins(self, tmp_path, data, expected):
-        path = tmp_path / "p01.csv"
-        path.write_bytes(data)
+    def test_first_fault_in_file_order_wins(self, data, expected):
         with pytest.raises((SchemaViolation, UnicodeDecodeError)) as exc:
-            parse_participant(path)
+            parse_participant(data, "p01")
         assert (str(exc.value) if isinstance(exc.value, SchemaViolation) else type(exc.value)) == expected
 
-    def test_shuffled_rows_keep_their_own_cells(self, tmp_path):
+    def test_shuffled_rows_keep_their_own_cells(self):
         rows = [
             (day(i), None if i % 3 == 0 else tuple((i + k) % 4 for k in range(10)), (i, 2 * i, None, i % 5, 0, 7 * i))
             for i in range(30)
         ]
         cells = [full_row(d, ema, ["" if c is None else c for c in counts]) for d, ema, counts in rows]
         random.Random(0).shuffle(cells)
-        written = make_csv(tmp_path, cells)
+        written = csv_bytes(cells)
         cells[0][-1] = f" {cells[0][-1]}"  # a padded cell is not in the written form
-        padded = make_csv(tmp_path, cells, name="p02.csv")
-        for path in (written, padded):
-            assert_same(parse_participant(path), table(rows, pid=path.stem))
+        padded = csv_bytes(cells)
+        for data in (written, padded):
+            assert_same(parse_participant(data, "p01"), table(rows, pid="p01"))
 
     def test_round_trip(self, tmp_path):
         rows = [
@@ -175,20 +161,20 @@ class TestParse:
             full_row(day(1)),
             full_row(day(3), ema=[0, 1, 2, 3, 0, 1, 2, 3, 0, 1]),
         ]
-        ds = parse_participant(make_csv(tmp_path, rows))
+        ds = parse_participant(csv_bytes(rows), "p01")
         out = tmp_path / "rt.csv"
         write_participant(ds, out)
-        assert_same(parse_participant(out), dataclasses.replace(ds, participant_id="rt"))
+        assert_same(parse_participant(out.read_bytes(), "rt"), dataclasses.replace(ds, participant_id="rt"))
 
 
 class TestBulkDecode:
     """Files in write_participant's own form skip the row loop, with its result."""
 
-    def test_prefixed_line_is_left_to_the_row_loop(self, tmp_path):
+    def test_prefixed_line_is_left_to_the_row_loop(self):
         row = full_row(day(4))
         row[0] = "x" + row[0]
         with pytest.raises(SchemaViolation) as exc:
-            parse_participant(make_csv(tmp_path, [row]))
+            parse_participant(csv_bytes([row]), "p01")
         assert str(exc.value) == "row 1, column 'date': unparseable date: 'x2023-01-05'"
 
     def test_crlf_and_lf_files_take_the_bulk_path(self, tmp_path, monkeypatch):
@@ -197,18 +183,19 @@ class TestBulkDecode:
             full_row(day(0)),
             full_row(day(1), ema=[0, 1, 2, 3, 0, 1, 2, 3, 0, 1]),
         ]
-        lf = make_csv(tmp_path, rows)
-        crlf = tmp_path / "p02.csv"
-        write_participant(parse_participant(lf), crlf)
-        assert b"\r\n" in crlf.read_bytes() and b"\r" not in lf.read_bytes()
-        expected = {path: ingest._parse_rows(path.read_bytes(), path.stem) for path in (lf, crlf)}
+        lf = csv_bytes(rows)
+        path = tmp_path / "p02.csv"
+        write_participant(parse_participant(lf, "p01"), path)
+        crlf = path.read_bytes()
+        assert b"\r\n" in crlf and b"\r" not in lf
+        expected = {pid: (data, ingest._parse_rows(data, pid)) for pid, data in (("p01", lf), ("p02", crlf))}
 
         def row_loop(data, participant_id):
             raise AssertionError(f"row loop ran on {participant_id}")
 
         monkeypatch.setattr(ingest, "_parse_rows", row_loop)
-        for path, ds in expected.items():
-            assert_same(parse_participant(path), ds)
+        for pid, (data, ds) in expected.items():
+            assert_same(parse_participant(data, pid), ds)
 
 
 class TestBackfill:

@@ -92,7 +92,7 @@ def test_csv_round_trip(tmp_path):
     ds = generate(cfg)
     path = tmp_path / f"{ds.participant_id}.csv"
     write_participant(ds, path)
-    assert_same(parse_participant(path), ds)
+    assert_same(parse_participant(path.read_bytes(), path.stem), ds)
 
 
 class TestGroundTruth:
