@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .contexts import BASELINE, CONTEXT_FLAGS, DISPLAY_NAMES, baseline_pool, categorize
-from .ingest import SENSOR_FEATURES, SchemaViolation, backfill_emas, parse_participant, write_participant
+from .ingest import SENSOR_FEATURES, SchemaViolation, backfill_emas, format_participant, parse_participant
 from .netcore import ALL10, NEGATIVE_ONLY, POSITIVE_ONLY, export_network, pearson_network
 from .permtest import (
     SAMPLER,
@@ -99,8 +99,8 @@ def histogram_csv(baseline_diffs, context_diffs) -> str:
     base_counts, _ = np.histogram(np.asarray(baseline_diffs, dtype=float), bins=edges)
     ctx_counts, _ = np.histogram(np.asarray(context_diffs, dtype=float), bins=edges)
     lines = ["bin_left,bin_right,baseline_count,context_count"]
-    for i in range(len(edges) - 1):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{base_counts[i]},{ctx_counts[i]}")
+    for row in zip(edges.tolist(), edges[1:].tolist(), base_counts.tolist(), ctx_counts.tolist()):
+        lines.append(",".join(map(repr, row)))  # Python floats: repr is the shortest round-trip decimal
     return "\n".join(lines) + "\n"
 
 
@@ -170,8 +170,9 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
     come from cfg; args gives --context, --subset, --emit-differences and
     --verbose-indices.
 
-    Returns run_paired's (context_run, baseline_run, TTest). Raises OSError,
-    UnicodeDecodeError, SchemaViolation or InsufficientPool.
+    Each artifact is written as the UTF-8 bytes that manifest.json digests.
+    Returns run_paired's (context_run, baseline_run, TTest) and table.txt's
+    text. Raises OSError, UnicodeDecodeError, SchemaViolation or InsufficientPool.
     """
     data = input_path.read_bytes()
     ds = backfill_emas(parse_participant(data, input_path.stem))
@@ -190,8 +191,8 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
     outputs = {}
 
     def emit(name: str, text: str):
-        (outdir / name).write_text(text, encoding="utf-8")
-        outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        (outdir / name).write_bytes(body := text.encode("utf-8"))
+        outputs[name] = hashlib.sha256(body).hexdigest()
 
     flags = (args.emit_differences, args.verbose_indices)
     emit("run.json", _run_json(ds.participant_id, feature, args.subset, cfg, ctx_run, result, *flags))
@@ -202,7 +203,7 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
         net = pearson_network(ds.ema[rows], items)
         emit(f"network_{category}.json", export_network(net, "json"))
         emit(f"network_{category}.dot", export_network(net, "dot"))
-    emit("table.txt", render_table(ds.participant_id, feature, args.subset, result))
+    emit("table.txt", table := render_table(ds.participant_id, feature, args.subset, result))
 
     manifest = {
         "tool_version": __version__,
@@ -220,8 +221,8 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
         },
         "outputs": outputs,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return result
+    (outdir / "manifest.json").write_bytes((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    return result, table
 
 
 def cmd_validate(args) -> int:
@@ -246,8 +247,8 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = PermutationConfig(args.permutations, args.sample_size, args.seed)
-    analyze_participant(args, cfg, Path(args.input), Path(args.out))
-    print((Path(args.out) / "table.txt").read_text(encoding="utf-8"), end="")
+    _, table = analyze_participant(args, cfg, Path(args.input), Path(args.out))
+    print(table, end="")
     return EXIT_OK
 
 
@@ -264,14 +265,14 @@ def cmd_cohort(args) -> int:
         pid = f.stem
         try:
             rows.append(_stats_row(f"{pid:10s}",
-                                   analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")))
+                                   analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")[0]))
         except (OSError, UnicodeDecodeError, SchemaViolation, InsufficientPool) as exc:
             if isinstance(exc, OSError) and exc.filename != str(f):
                 raise  # a fault in writing outputs is the run's, not the participant's
             excluded.append(f"  {pid}: {_fault(exc)}")
     notes = ["Excluded participants:", *excluded, ""] if excluded else []
     table = _stats_table(10, "ID", CONTEXT_FLAGS[args.context], rows, notes)
-    (outdir / "cohort_table.txt").write_text(table, encoding="utf-8")
+    (outdir / "cohort_table.txt").write_bytes(table.encode("utf-8"))
     print(table, end="")
     if not rows:
         print("error: no eligible participants", file=sys.stderr)
@@ -299,14 +300,14 @@ def _synth_config_from_args(args) -> SynthConfig:
         context_mix=args.mix,
         missing_sensor_rate=args.missing_rate,
     )
-    if args.planted_r and not args.null:
+    if args.planted_r:
         kwargs["isolation_corr"] = correlated_block(args.planted_r)
     return SynthConfig(**kwargs)
 
 
 def cmd_synth(args) -> int:
     ds = generate(_synth_config_from_args(args))
-    write_participant(ds, Path(args.out))
+    Path(args.out).write_bytes(format_participant(ds))
     print(f"wrote {len(ds.dates)} days ({ds.usable_days} reported EMAs) to {args.out}")
     return EXIT_OK
 
@@ -323,7 +324,7 @@ def cmd_export_network(args) -> int:
     net = pearson_network(ds.ema[rows], SUBSETS[args.subset][1])
     text = export_network(net, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_bytes(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -370,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", choices=SENSOR_FEATURES, default=SynthConfig.planted_feature)
     p.add_argument("--mix", type=float, default=SynthConfig.context_mix)
     p.add_argument("--planted-r", type=float, default=0.0, help="latent correlation among positive items in isolation")
-    p.add_argument("--null", action="store_true", help="identical correlation targets for both categories")
     p.add_argument("--missing-rate", type=float, default=SynthConfig.missing_sensor_rate)
     p.set_defaults(func=cmd_synth)
 

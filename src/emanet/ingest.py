@@ -8,13 +8,14 @@ a reported EMA is copied back onto up to two preceding calendar days that lack
 their own report. Days left without an EMA after backfill are excluded from
 all analysis.
 
-Parsing decodes bytes the caller has read, along two paths with one result. A
-file exactly as write_participant writes it (the header verbatim; each row a
-date, ten scores or ten empty cells, six plain counts; LF or CRLF line ends)
-is decoded in bulk, with one regular expression over the whole text. Any other
-file, valid or not, goes through the row loop, which alone decides what is
-valid and words every SchemaViolation; the bulk path only ever accepts what
-the row loop accepts, with the same dataset.
+This module maps bytes to a dataset and back; the caller reads and writes the
+files. Parsing takes two paths with one result. A file exactly as
+format_participant writes it (the header verbatim; each row a date, ten scores
+or ten empty cells, six plain counts; LF or CRLF line ends) is decoded in bulk,
+with one regular expression over the whole text. Any other file, valid or not,
+goes through the row loop, which alone decides what is valid and words every
+SchemaViolation; the bulk path only ever accepts what the row loop accepts,
+with the same dataset.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _rows(lines):
 
 
 def _parse_date(raw: str, row: int) -> dt.date:
-    """ASCII YYYY-MM-DD only, as written by write_participant: date.fromisoformat
+    """ASCII YYYY-MM-DD only, as format_participant writes them: date.fromisoformat
     alone accepts more forms on some Python versions than on others."""
     if _ISO_DATE.fullmatch(raw):
         try:
@@ -133,7 +134,7 @@ def _parse_date(raw: str, row: int) -> dt.date:
 
 
 def _parse_int_cell(raw: str, row: int, column: str) -> int:
-    """ASCII -?[0-9]+ only, as write_participant writes: int() alone also takes
+    """ASCII -?[0-9]+ only, as format_participant writes: int() alone also takes
     '+3', '1_000' and non-ASCII digits. str methods, not a regex: this runs per cell."""
     if raw.isascii() and (raw.isdigit() or raw[:1] == "-" and raw[1:].isdigit()):
         try:
@@ -162,7 +163,7 @@ def _parse_count(raw: str, row: int, feature: str) -> int:
 
 
 _HEADER = ",".join(CSV_COLUMNS)
-# One body line as write_participant writes it: a date, ten scores or ten
+# One body line as format_participant writes it: a date, ten scores or ten
 # empty cells, six counts of at most 19 digits (MAX_COUNT's length, which
 # keeps every cell within int()'s and the csv module's limits), LF or CRLF.
 _WRITTEN_LINE = re.compile(
@@ -179,7 +180,7 @@ def parse_participant(data: bytes, participant_id: str) -> ParticipantDataset:
 
     The caller reads the file and names the participant (cli uses the file
     name's stem). One leading UTF-8 byte-order mark is dropped. A file in
-    write_participant's own form is decoded in bulk; every other file goes
+    format_participant's own form is decoded in bulk; every other file goes
     through the row loop, the only judge of what is valid and of every error
     message. Malformed rows raise SchemaViolation with the offending row and
     column, and text that is not UTF-8 raises UnicodeDecodeError, whichever
@@ -209,7 +210,7 @@ def _by_date(participant_id, dates, ema, reported, counts) -> ParticipantDataset
 
 
 def _decode_written_form(data: bytes, participant_id: str) -> ParticipantDataset | None:
-    """The dataset of a file in write_participant's own form, equal to the row
+    """The dataset of a file in format_participant's own form, equal to the row
     loop's; None for any other file, valid or not."""
     try:
         text = data.decode("ascii")
@@ -284,22 +285,18 @@ def _parse_rows(data: bytes, participant_id: str) -> ParticipantDataset:
     return _by_date(participant_id, list(seen_dates), ema, reported, sensors)
 
 
-def write_participant(ds: ParticipantDataset, path) -> None:
-    """Serialize a dataset to the participant CSV schema.
-
-    Only reported EMAs are written; backfilled copies are an analysis artifact
-    and are reconstructed by backfill_emas on re-parse, so parse -> write ->
-    parse round-trips exactly.
-    """
-    no_ema = [""] * len(EMA_ITEMS)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for date, scores, source, counts in zip(
-            ds.dates.tolist(), ds.ema.tolist(), ds.ema_source.tolist(), ds.sensors.tolist()
-        ):
-            ema_cells = scores if source == REPORTED else no_ema
-            writer.writerow([date.isoformat()] + ema_cells + ["" if c == NOT_MEASURED else c for c in counts])
+def format_participant(ds: ParticipantDataset) -> bytes:
+    """The participant CSV of a dataset: _HEADER, then one row per day in date
+    order, each line ending in CRLF. Only reported EMAs are written; backfilled
+    copies are an analysis artifact and are reconstructed by backfill_emas on
+    re-parse, so parse -> format -> parse round-trips exactly."""
+    lines = [_HEADER]
+    for date, scores, source, counts in zip(
+        ds.dates.tolist(), ds.ema.tolist(), ds.ema_source.tolist(), ds.sensors.tolist()
+    ):
+        ema_cells = scores if source == REPORTED else [""] * len(EMA_ITEMS)
+        lines.append(",".join(map(str, [date, *ema_cells, *("" if c == NOT_MEASURED else c for c in counts)])))
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
 
 
 def backfill_emas(ds: ParticipantDataset) -> ParticipantDataset:

@@ -231,7 +231,7 @@ def test_criterion_8_cohort_table_golden(tmp_path):
         assert main(["synth", "--out", str(indir / f"p{i + 1:02d}.csv"), "--days", "300",
                      "--seed", str(100 + i), "--planted-r", "0.6"]) == 0
     assert main(["synth", "--out", str(indir / "p06.csv"), "--days", "300",
-                 "--seed", "106", "--null"]) == 0
+                 "--seed", "106"]) == 0
     out = tmp_path / "out"
     rc = main(["cohort", str(indir), "--context", "locations", "--seed", "7",
                "--permutations", "500", "--out", str(out)])

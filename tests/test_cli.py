@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import datetime as dt
 import hashlib
@@ -15,7 +16,7 @@ from emanet import cli
 from emanet.cli import _run_json, build_parser, histogram_csv, main, render_table, significance_marker
 from emanet.contexts import CONTEXT_FLAGS, DISPLAY_NAMES
 from daytable import assert_same, table
-from emanet.ingest import CSV_COLUMNS, parse_participant, write_participant
+from emanet.ingest import CSV_COLUMNS, format_participant, parse_participant
 from emanet.permtest import PermutationConfig, PermutationRun, TTest
 
 
@@ -23,14 +24,6 @@ from emanet.permtest import PermutationConfig, PermutationRun, TTest
 def planted_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "p01.csv"
     rc = main(["synth", "--out", str(path), "--days", "300", "--seed", "11", "--planted-r", "0.6"])
-    assert rc == 0
-    return path
-
-
-@pytest.fixture(scope="module")
-def null_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "p02.csv"
-    rc = main(["synth", "--out", str(path), "--days", "300", "--seed", "12", "--null"])
     assert rc == 0
     return path
 
@@ -83,7 +76,8 @@ class TestValidate:
         path = tmp_path / "p.csv"
         d0 = dt.date(2023, 1, 1)
         counts = [(None, int(i >= n_iso)) + (None,) * 4 for i in range(n_iso + n_soc)]
-        write_participant(table([(d0 + dt.timedelta(days=i), scores, c) for i, c in enumerate(counts)]), path)
+        rows = [(d0 + dt.timedelta(days=i), scores, c) for i, c in enumerate(counts)]
+        path.write_bytes(format_participant(table(rows)))
         assert main(["validate", str(path)]) == 0
         name = DISPLAY_NAMES["calls_made"]
         row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith(name))
@@ -144,7 +138,7 @@ class TestAnalyze:
         for name, digest in json.loads(manifest)["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         assert hashlib.sha256(manifest).hexdigest() == (
-            "76f6c1cf0f405c48c88485b130dd5113f3662bca71cb68f9cb4214cfea6ae66d"
+            "ecfd7bf021d6117477b09dda15847e0e84cba5bc4d790adbf292b91e7bbb9705"
         )
         assert capsys.readouterr().out == (out / "table.txt").read_text(encoding="utf-8")
 
@@ -163,7 +157,7 @@ class TestAnalyze:
 # The pinned cohort run: three synthetic participants, then cohort over them.
 PINNED_COHORT = [
     ["synth", "--out", "{indir}/p01.csv", "--seed", "31", "--planted-r", "0.6"],
-    ["synth", "--out", "{indir}/p02.csv", "--seed", "32", "--null"],
+    ["synth", "--out", "{indir}/p02.csv", "--seed", "32"],
     ["synth", "--out", "{indir}/p03.csv", "--seed", "33", "--planted-r", "0.3", "--days", "120"],
     ["cohort", "{indir}", "--context", "locations", "--seed", "7", "--permutations", "200",
      "--emit-differences", "--verbose-indices", "--out", "{out}"],
@@ -171,9 +165,9 @@ PINNED_COHORT = [
 # sha256 of each participant's manifest.json, which holds the sha256 of its other
 # artifacts; a change that alters any output byte on purpose re-pins them here.
 COHORT_PINS = {
-    "p01": "46ac585852f75734db8abb3c8b9df53bd4a353e33b5326047955db5d95145c45",
-    "p02": "80347253995d93446a0ec9466945ea50e62c0fbb8035c28135e66d035751297f",
-    "p03": "d6ad0d73f273f5a7d0c4ce3cbf59a16bdf90ca10c45f9bd4852108e308e91c18",
+    "p01": "e02f6d91909617a5c0589997a64ac16db2f2a010119483ee0ab21fc130e61a18",
+    "p02": "04142b3afc202c9d3dd18ae88cad5ba002b9b234d78edccc498355b6718274c9",
+    "p03": "34b5eb86bcec188c9b03c1ea800ecab65e2280f286eacfae5e523b4018bbaded",
 }
 
 # Runs argv lists (argv[1], JSON) through main, then prints the sha256 of each
@@ -517,6 +511,22 @@ BAD_INPUTS = [
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{string_rate}"],
                  "error: invalid synth config: missing_sensor_rate must be a number, got '0.1'",
                  id="synth-config-string-rate"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{not_object}"],
+                 "error: invalid synth config: the config must be a JSON object", id="synth-config-not-object"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{cadence_0}"],
+                 "error: invalid synth config: report_cadence must be >= 1", id="synth-config-cadence-0"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{steps}"],
+                 "error: invalid synth config: unknown planted feature 'steps'", id="synth-config-unknown-feature"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{rate_above_1}"],
+                 "error: invalid synth config: missing_sensor_rate must be in [0, 1]", id="synth-config-rate-above-1"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{ragged_corr}"],
+                 "error: invalid synth config: isolation_corr must be 10x10", id="synth-config-ragged-corr"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{short_mean}"],
+                 "error: invalid synth config: sociability_mean must have 10 entries", id="synth-config-short-mean"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{asymmetric_corr}"],
+                 "error: invalid synth config: isolation_corr must be symmetric", id="synth-config-asymmetric-corr"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{diagonal_2}"],
+                 "error: invalid synth config: isolation_corr must have unit diagonal", id="synth-config-diagonal-2"),
 ]
 
 # One --config file per case; json writes float("nan") as NaN, which json.loads reads back.
@@ -534,6 +544,18 @@ SYNTH_CONFIGS = {
     "huge_mean": {"n_days": 30, "sociability_mean": [10**400] + [0] * 9},
     "bool_mix": {"n_days": 30, "context_mix": True},
     "string_rate": {"n_days": 30, "missing_sensor_rate": "0.1"},
+    "not_object": [1, 2],
+    "cadence_0": {"n_days": 10, "report_cadence": 0},
+    "steps": {"n_days": 10, "planted_feature": "steps"},
+    "rate_above_1": {"n_days": 10, "missing_sensor_rate": 1.5},
+    # Nine rows of 10 cells and one of 9.
+    "ragged_corr": {"n_days": 10,
+                    "isolation_corr": [[float(i == j) for j in range(10)] for i in range(9)] + [[0.0] * 9]},
+    "short_mean": {"n_days": 10, "sociability_mean": [0.0] * 9},
+    "asymmetric_corr": {"n_days": 10, "isolation_corr": [[0.2 if (i, j) == (0, 1) else float(i == j) for j in range(10)]
+                                                         for i in range(10)]},
+    "diagonal_2": {"n_days": 10, "isolation_corr": [[2.0 if i == j == 0 else float(i == j) for j in range(10)]
+                                                    for i in range(10)]},
 }
 
 
@@ -576,23 +598,50 @@ def test_each_input_is_read_once_and_its_bytes_digested(argv, planted_csv, tmp_p
     indir.mkdir()
     (indir / "p00.csv").write_bytes(b"\xef\xbb\xbf" + planted_csv.read_bytes())
     (indir / "p01.csv").write_bytes(planted_csv.read_bytes())
-    reads, read_bytes = collections.Counter(), Path.read_bytes
+    reads = []
 
-    def counted(path):
-        reads[path.name] += 1
-        return read_bytes(path)
+    def recorded(read):
+        def read_path(path, *args, **kwargs):
+            reads.append(path)
+            return read(path, *args, **kwargs)
+        return read_path
 
-    monkeypatch.setattr(Path, "read_bytes", counted)
+    monkeypatch.setattr(Path, "read_bytes", recorded(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", recorded(Path.read_text))
     assert main([a.format(indir=indir, out=out) for a in argv]) == 0
     monkeypatch.undo()
+    assert [path for path in reads if path.is_relative_to(out)] == []  # no output is read back
     pids = ["p00", "p01"] if argv[0] == "cohort" else ["p00"]
-    assert reads == {f"{pid}.csv": 1 for pid in pids}
+    assert collections.Counter(path.name for path in reads) == {f"{pid}.csv": 1 for pid in pids}
     manifests = {m.parent.name: json.loads(m.read_text(encoding="utf-8")) for m in out.glob("*/manifest.json")}
     assert sorted(manifests) == (pids if argv[0] in ("analyze", "cohort") else [])
     for pid, manifest in manifests.items():
         data = (indir / f"{pid}.csv").read_bytes()
         assert manifest["inputs"] == {f"{pid}.csv": hashlib.sha256(data).hexdigest()}
     capsys.readouterr()
+
+
+def _file_io_calls(module):
+    """(line, name) of each call in a module's source that opens, reads, writes,
+    makes or lists a file: open(), or a Path method of those names."""
+    calls = []
+    for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((node.lineno, func.id))
+        elif isinstance(func, ast.Attribute) and (func.attr in ("open", "mkdir", "iterdir")
+                                                  or func.attr.startswith(("read_", "write_"))):
+            calls.append((node.lineno, func.attr))
+    return calls
+
+
+def test_cli_alone_touches_files_and_writes_only_bytes():
+    # The other modules map values to bytes and back. cli writes bytes, never text,
+    # so no platform newline translation comes between an output and its digest.
+    calls = {module.name: _file_io_calls(module) for module in Path(cli.__file__).parent.glob("*.py")}
+    cli_calls = calls.pop("cli.py")
+    assert calls == {name: [] for name in calls}
+    assert [call for call in cli_calls if call[1] == "write_text"] == []
 
 
 def test_cohort_excludes_unreadable_files(planted_csv, tmp_path, capsys):
@@ -640,6 +689,10 @@ class TestHelpers:
         assert payload["comparison"]["t_score"] == value
 
     def test_histogram_degenerate_distributions(self):
-        csv = histogram_csv([1.0] * 10, [1.0] * 10)
-        lines = csv.strip().splitlines()
-        assert sum(int(l.split(",")[2]) for l in lines[1:]) == 10
+        # A pool of one value (zero bin width), and one whose last Freedman-Diaconis
+        # edge, 0.2999999999999998, falls below its maximum 0.3, so an edge is appended.
+        for baseline, context in [([1.0] * 10, [1.0] * 10), ([-3.2, 0.3, -0.4, -0.2], [-0.6, -0.1, -0.3, -0.1])]:
+            _, *lines = histogram_csv(baseline, context).splitlines()
+            rows = [[float(cell) for cell in line.split(",")] for line in lines]
+            assert [sum(row[2] for row in rows), sum(row[3] for row in rows)] == [len(baseline), len(context)]
+            assert rows[-1][1] >= max(baseline + context)

@@ -4,7 +4,7 @@ import pytest
 
 from emanet import synthgen
 from daytable import assert_same, sources
-from emanet.ingest import NOT_MEASURED, REPORTED, backfill_emas, parse_participant, write_participant
+from emanet.ingest import NOT_MEASURED, REPORTED, backfill_emas, format_participant, parse_participant
 from emanet.netcore import POSITIVE_ONLY, correlation_matrix
 from emanet.synthgen import DISCRETIZE_THRESHOLDS, InvalidConfig, SynthConfig, correlated_block, discretize, generate
 from synth_oracle import discretized_correlation, ground_truth
@@ -87,12 +87,9 @@ def test_discretize_thresholds_are_quartiles():
     assert DISCRETIZE_THRESHOLDS[1] == 0.0
 
 
-def test_csv_round_trip(tmp_path):
-    cfg = SynthConfig(n_days=40, seed=6, missing_sensor_rate=0.1)
-    ds = generate(cfg)
-    path = tmp_path / f"{ds.participant_id}.csv"
-    write_participant(ds, path)
-    assert_same(parse_participant(path.read_bytes(), path.stem), ds)
+def test_csv_round_trip():
+    ds = generate(SynthConfig(n_days=40, seed=6, missing_sensor_rate=0.1))
+    assert_same(parse_participant(format_participant(ds), ds.participant_id), ds)
 
 
 class TestGroundTruth:
