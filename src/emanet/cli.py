@@ -10,6 +10,7 @@ be read, parsed or analysed; any other fault ends the run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -281,28 +282,27 @@ def cmd_cohort(args) -> int:
 
 
 def _synth_config_from_args(args) -> SynthConfig:
+    """The --config file's keys, then each synth flag given, which sets its own key."""
+    keys = {}
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            keys = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidSynthConfig(str(exc)) from None
-        if not isinstance(raw, dict):
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise InvalidSynthConfig("an integer has too many digits") from None
+        except RecursionError:
+            raise InvalidSynthConfig("arrays or objects nested too deeply") from None
+        if not isinstance(keys, dict):
             raise InvalidSynthConfig("the config must be a JSON object")
-        try:
-            return SynthConfig(**raw)
-        except TypeError as exc:  # an unknown or missing key
-            raise InvalidSynthConfig(str(exc)) from None
-    kwargs = dict(
-        n_days=args.days,
-        seed=args.seed,
-        report_cadence=args.cadence,
-        planted_feature=args.feature,
-        context_mix=args.mix,
-        missing_sensor_rate=args.missing_rate,
-    )
-    if args.planted_r:
-        kwargs["isolation_corr"] = correlated_block(args.planted_r)
-    return SynthConfig(**kwargs)
+    given = vars(args)
+    keys.update((f.name, given[f.name]) for f in dataclasses.fields(SynthConfig) if f.name in given)
+    if "planted_r" in given:
+        keys["isolation_corr"] = correlated_block(given["planted_r"])
+    try:
+        return SynthConfig(**keys)
+    except TypeError as exc:  # an unknown key
+        raise InvalidSynthConfig(str(exc)) from None
 
 
 def cmd_synth(args) -> int:
@@ -364,14 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic participant CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file with SynthConfig keys (overrides other flags)")
-    p.add_argument("--days", type=int, default=300)
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
-    p.add_argument("--cadence", type=int, default=SynthConfig.report_cadence)
-    p.add_argument("--feature", choices=SENSOR_FEATURES, default=SynthConfig.planted_feature)
-    p.add_argument("--mix", type=float, default=SynthConfig.context_mix)
-    p.add_argument("--planted-r", type=float, default=0.0, help="latent correlation among positive items in isolation")
-    p.add_argument("--missing-rate", type=float, default=SynthConfig.missing_sensor_rate)
+    p.add_argument("--config", help="JSON file with SynthConfig keys; each flag given sets its own key")
+    # Only the flags given reach the namespace, so a config key that no flag sets keeps its value.
+    if_given = dict(default=argparse.SUPPRESS)
+    p.add_argument("--days", type=int, dest="n_days", **if_given)
+    p.add_argument("--seed", type=int, **if_given)
+    p.add_argument("--cadence", type=int, dest="report_cadence", **if_given)
+    p.add_argument("--feature", choices=SENSOR_FEATURES, dest="planted_feature", **if_given)
+    p.add_argument("--mix", type=float, dest="context_mix", **if_given)
+    p.add_argument("--planted-r", type=float, help="latent correlation among positive items in isolation", **if_given)
+    p.add_argument("--missing-rate", type=float, dest="missing_sensor_rate", **if_given)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("export-network", help="export an all-day category network as JSON or DOT")

@@ -40,11 +40,11 @@ def _real(value) -> float:
     return float(value)  # OverflowError past the float range
 
 
-def correlated_block(r: float, indices=POSITIVE_ONLY) -> tuple:
-    """Identity 10x10 target with correlation r among the given item indices."""
+def correlated_block(r: float) -> tuple:
+    """Identity 10x10 target with correlation r among the positive items."""
     m = [[1.0 if i == j else 0.0 for j in range(_N_ITEMS)] for i in range(_N_ITEMS)]
-    for i in indices:
-        for j in indices:
+    for i in POSITIVE_ONLY:
+        for j in POSITIVE_ONLY:
             if i != j:
                 m[i][j] = r
     return tuple(tuple(row) for row in m)
@@ -52,13 +52,13 @@ def correlated_block(r: float, indices=POSITIVE_ONLY) -> tuple:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_days: int
+    n_days: int = 300
     seed: int = 0
     report_cadence: int = 3
     planted_feature: str = "locations_visited"
     context_mix: float = 0.5
-    isolation_corr: tuple = correlated_block(0.0, ())
-    sociability_corr: tuple = correlated_block(0.0, ())
+    isolation_corr: tuple = correlated_block(0.0)
+    sociability_corr: tuple = correlated_block(0.0)
     isolation_mean: tuple = (0.0,) * _N_ITEMS
     sociability_mean: tuple = (0.0,) * _N_ITEMS
     missing_sensor_rate: float = 0.0
@@ -143,46 +143,41 @@ def discretize(z: np.ndarray) -> np.ndarray:
 def generate(cfg: SynthConfig) -> ParticipantDataset:
     """Produce a CSV-writable dataset with the planted context structure.
 
-    Reports land on every report_cadence-th day (the last day of each cadence
-    block), so the 2-day backfill covers every day when the cadence is <= 3.
-    Sensor counts satisfy the category predicates exactly: isolation days have
-    count 0, sociability days a positive geometric count.
+    Reports land on the last day of each report_cadence-day block, so the
+    2-day backfill covers every day when the cadence is <= 3. Each random
+    quantity is one array, drawn from one generator in this order:
+    1. the planted feature's category per block (sociable below context_mix),
+       so the days one report covers share its context;
+    2. every feature's category per day, the planted column then set from step 1;
+    3. a geometric(0.5) count per cell: sociable cells keep it (>= 1),
+       isolated cells count 0;
+    4. a uniform per cell; below missing_sensor_rate, the cell is NOT_MEASURED;
+    5. ten standard normals per report, made latent scores by the mean and
+       factor of the planted category on the report day, then discretized.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    l_iso = _factor(np.asarray(cfg.isolation_corr, dtype=float))
-    l_soc = _factor(np.asarray(cfg.sociability_corr, dtype=float))
-    mu_iso = np.asarray(cfg.isolation_mean, dtype=float)
-    mu_soc = np.asarray(cfg.sociability_mean, dtype=float)
-    n = cfg.n_days
+    n, mix = cfg.n_days, cfg.context_mix
+    cadence = min(cfg.report_cadence, n + 1)  # any longer cadence makes one block and no report
+    shape = (n, len(SENSOR_FEATURES))
     planted = SENSOR_FEATURES.index(cfg.planted_feature)
+    day = np.arange(n)
+    block_sociable = rng.random(-(-n // cadence)) < mix
+    sociable = rng.random(shape) < mix
+    sociable[:, planted] = block_sociable[day // cadence]
+    sensors = np.where(sociable, rng.geometric(0.5, shape), 0)
+    sensors[rng.random(shape) < cfg.missing_sensor_rate] = NOT_MEASURED
+    reports = day[day % cadence == cadence - 1]
+    z = rng.standard_normal((len(reports), _N_ITEMS))
+    latent = np.where(sociable[reports, planted, None],
+                      np.asarray(cfg.sociability_mean) + z @ _factor(np.asarray(cfg.sociability_corr)).T,
+                      np.asarray(cfg.isolation_mean) + z @ _factor(np.asarray(cfg.isolation_corr)).T)
     ema = np.zeros((n, _N_ITEMS), dtype=np.int8)
+    ema[reports] = discretize(latent)
     ema_source = np.full(n, NO_EMA, dtype=np.int8)
-    sensors = np.zeros((n, len(SENSOR_FEATURES)), dtype=np.int64)
-    planted_sociable = False
-    for i in range(n):
-        # The planted feature's category persists over each reporting block,
-        # so the days covered by one report share the context it was made in.
-        if i % cfg.report_cadence == 0:
-            planted_sociable = bool(rng.random() < cfg.context_mix)
-        sociable = [
-            planted_sociable if j == planted else bool(rng.random() < cfg.context_mix)
-            for j in range(len(SENSOR_FEATURES))
-        ]
-        for j, is_sociable in enumerate(sociable):
-            if cfg.missing_sensor_rate and rng.random() < cfg.missing_sensor_rate:
-                sensors[i, j] = NOT_MEASURED
-            elif is_sociable:
-                sensors[i, j] = rng.geometric(0.5)
-        if i % cfg.report_cadence == cfg.report_cadence - 1:
-            if sociable[planted]:
-                z = mu_soc + l_soc @ rng.standard_normal(_N_ITEMS)
-            else:
-                z = mu_iso + l_iso @ rng.standard_normal(_N_ITEMS)
-            ema[i] = discretize(z)
-            ema_source[i] = REPORTED
+    ema_source[reports] = REPORTED
     return ParticipantDataset(
         participant_id=f"synth-{cfg.seed}",
-        dates=np.datetime64(START_DATE, "D") + np.arange(n),
+        dates=np.datetime64(START_DATE, "D") + day,
         ema=ema,
         ema_source=ema_source,
         sensors=sensors,

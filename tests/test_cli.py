@@ -57,8 +57,8 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.csv")]) == 2
 
     @pytest.mark.parametrize("min_days, digest", [
-        ("25", "35ce5496cedc6d211e66a28f73ec4b23c6eb5c9ae92ff2d0186a41fd3057954d"),
-        ("150", "5d60981d21c88b3a1e9f96d7795434c6c6260e6ba9fa51d1b97b26d035b90a2a"),
+        ("25", "51837c0f08d42f710dc3c2c6415d16403cc0236503026a3f6f96ff60afe4841a"),
+        ("150", "a858ef536923d94c69fc7a2f08a297a8bb34aab431de874605df1cac5c2a23a4"),
     ], ids=["min-days-25", "min-days-150"])
     def test_stdout_is_pinned(self, planted_csv, min_days, digest, capsys):
         assert main(["validate", str(planted_csv), "--min-days", min_days]) == 0
@@ -138,7 +138,7 @@ class TestAnalyze:
         for name, digest in json.loads(manifest)["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         assert hashlib.sha256(manifest).hexdigest() == (
-            "ecfd7bf021d6117477b09dda15847e0e84cba5bc4d790adbf292b91e7bbb9705"
+            "729df6142b9c21aee2fcaea33e7fed90dc286e4eb042e6a367dbb20c48910c67"
         )
         assert capsys.readouterr().out == (out / "table.txt").read_text(encoding="utf-8")
 
@@ -165,9 +165,9 @@ PINNED_COHORT = [
 # sha256 of each participant's manifest.json, which holds the sha256 of its other
 # artifacts; a change that alters any output byte on purpose re-pins them here.
 COHORT_PINS = {
-    "p01": "e02f6d91909617a5c0589997a64ac16db2f2a010119483ee0ab21fc130e61a18",
-    "p02": "04142b3afc202c9d3dd18ae88cad5ba002b9b234d78edccc498355b6718274c9",
-    "p03": "34b5eb86bcec188c9b03c1ea800ecab65e2280f286eacfae5e523b4018bbaded",
+    "p01": "bf1427237b8df83359c06abd400d17c412a7d764ebf0eee5c1e4f1efd9aed8bf",
+    "p02": "0b00167620f0d4d0435d1365ddaffe148ebc7c90048bf194dcc53d3189a6c205",
+    "p03": "455168d03942a99ee7a491dc869594f48b8a496306f04ae5a993c92cc9d89112",
 }
 
 # Runs argv lists (argv[1], JSON) through main, then prints the sha256 of each
@@ -330,6 +330,23 @@ class TestSynth:
         assert len(ds.dates) == 40
         assert ds.usable_days == 20
 
+    def test_flags_given_beside_a_config_set_their_own_keys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_days": 40, "seed": 3, "report_cadence": 2, "context_mix": 0.3}),
+                            encoding="utf-8")
+        flags = ["--seed", "9", "--days", "500", "--planted-r", "0.6"]
+        assert main(["synth", "--out", str(tmp_path / "a.csv"), "--config", str(cfg_path), *flags]) == 0
+        assert main(["synth", "--out", str(tmp_path / "b.csv"), "--cadence", "2", "--mix", "0.3", *flags]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("r", ["0", "-0.0"])
+    def test_planted_r_zero_gives_the_default_file(self, r, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "a.csv"), "--days", "90"]) == 0
+        assert main(["synth", "--out", str(tmp_path / "b.csv"), "--days", "90", "--planted-r", r]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        capsys.readouterr()
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_days": -5}), encoding="utf-8")
@@ -355,9 +372,9 @@ class TestExportNetwork:
         assert len(net["items"]) == 10
 
     @pytest.mark.parametrize("flags, digest", [
-        (["--context", "baseline"], "fdc6f85a787c39ad688097d04f5f086a0d70b7bbe6b7abd8912dc4e4225cdeef"),
+        (["--context", "baseline"], "099a23f733de78068759d2c093def55736e906a04eb7aa6547e78c51718f5fe4"),
         (["--context", "locations", "--category", "sociability", "--subset", "negative"],
-         "9213ce31fddc5da3ba5a155c7b204c6fe3462ed4f627e0aa0e08b0972482f496"),
+         "a0307581eb8c6bca1d8cd5a1014071027321a957421521b5cc31ebb2ddb35042"),
     ], ids=["baseline", "locations-sociability-negative"])
     def test_stdout_is_pinned(self, planted_csv, flags, digest, capsys):
         assert main(["export-network", str(planted_csv), *flags, "--format", "json"]) == 0
@@ -511,6 +528,10 @@ BAD_INPUTS = [
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{string_rate}"],
                  "error: invalid synth config: missing_sensor_rate must be a number, got '0.1'",
                  id="synth-config-string-rate"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{long_int}"],
+                 "error: invalid synth config: an integer has too many digits", id="synth-config-5000-digit-int"),
+    pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{deep_array}"],
+                 "error: invalid synth config: arrays or objects nested too deeply", id="synth-config-deep-array"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{not_object}"],
                  "error: invalid synth config: the config must be a JSON object", id="synth-config-not-object"),
     pytest.param(["synth", "--out", "{dir}/s.csv", "--config", "{cadence_0}"],
@@ -529,8 +550,12 @@ BAD_INPUTS = [
                  "error: invalid synth config: isolation_corr must have unit diagonal", id="synth-config-diagonal-2"),
 ]
 
-# One --config file per case; json writes float("nan") as NaN, which json.loads reads back.
+# One --config file per case, a string written as it stands and anything else through json.dumps,
+# which writes float("nan") as NaN, which json.loads reads back.
 SYNTH_CONFIGS = {
+    # Past the interpreter's default limit on digits in an int, and past its recursion limit.
+    "long_int": '{"n_days": ' + "9" * 5000 + "}",
+    "deep_array": '{"n_days": 10, "isolation_corr": ' + "[" * 100_000 + "]" * 100_000 + "}",
     "cfg": {"n_days": 40, "bogus": 1},
     "float_days": {"n_days": 10.5},
     "float_seed": {"n_days": 10, "seed": 1.5},
@@ -563,7 +588,7 @@ SYNTH_CONFIGS = {
 def test_bad_input_is_one_line_error_exit_2(argv, message, planted_csv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, cfg in SYNTH_CONFIGS.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        (tmp_path / f"{name}.json").write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     (tmp_path / "d").mkdir()
     (tmp_path / "bad_date.csv").write_bytes(planted_csv.read_bytes().replace(b"\n2023-01-03,", b"\n2023-01-03x,"))

@@ -4,7 +4,8 @@ import pytest
 
 from emanet import synthgen
 from daytable import assert_same, sources
-from emanet.ingest import NOT_MEASURED, REPORTED, backfill_emas, format_participant, parse_participant
+from emanet.ingest import (NOT_MEASURED, REPORTED, SENSOR_FEATURES, backfill_emas, format_participant,
+                           parse_participant)
 from emanet.netcore import POSITIVE_ONLY, correlation_matrix
 from emanet.synthgen import DISCRETIZE_THRESHOLDS, InvalidConfig, SynthConfig, correlated_block, discretize, generate
 from synth_oracle import discretized_correlation, ground_truth
@@ -29,12 +30,73 @@ def test_report_cadence():
     assert backfill_emas(ds).usable_days == 30
 
 
+# Every bound below is 5 standard deviations of a binomial share, fixed before the
+# test was run: a correct generator misses one with probability about 6e-7.
+def _within_5_sd(hits, n, p):
+    return abs(hits - n * p) <= 5 * (n * p * (1 - p)) ** 0.5
+
+
 def test_sensor_counts_satisfy_predicates():
-    cfg = SynthConfig(n_days=200, seed=3)
+    # With no missing cells, an isolated cell counts 0 and a sociable one a geometric(0.5) count >= 1.
+    ds = generate(SynthConfig(n_days=5000, seed=3))
+    assert ds.sensors.dtype == np.int64 and ds.sensors.min() >= 0
+    positive = ds.sensors[ds.sensors > 0]
+    for k in (1, 2, 3):
+        assert _within_5_sd(int((positive == k).sum()), positive.size, 0.5**k), k
+
+
+@pytest.mark.parametrize("feature, cadence", [("locations_visited", 3), ("conversations_detected", 7)])
+def test_planted_category_holds_over_each_cadence_block(feature, cadence):
+    cfg = SynthConfig(n_days=3000, seed=13, report_cadence=cadence, planted_feature=feature, missing_sensor_rate=0.2)
+    counts = generate(cfg).sensors[:, SENSOR_FEATURES.index(feature)]
+    kinds = set()
+    for start in range(0, cfg.n_days, cadence):
+        measured = counts[start:start + cadence]
+        measured = measured[measured != NOT_MEASURED]
+        assert (measured == 0).all() or (measured >= 1).all(), start
+        kinds.add(bool((measured >= 1).any()))
+    assert kinds == {False, True}
+
+
+def test_other_features_draw_a_category_each_day():
+    cfg = SynthConfig(n_days=20_000, seed=14, context_mix=0.3)
     ds = generate(cfg)
-    for counts in ds.sensors.tolist():
-        for c in counts:
-            assert c == NOT_MEASURED or c >= 0
+    for j, feature in enumerate(SENSOR_FEATURES):
+        if feature != cfg.planted_feature:
+            assert _within_5_sd(int((ds.sensors[:, j] > 0).sum()), cfg.n_days, 0.3), feature
+
+
+@pytest.mark.parametrize("cadence", [10**12, 10**30])
+def test_cadence_beyond_the_days_gives_no_report(cadence):
+    # One block and no report; nothing of the cadence's size is allocated.
+    ds = generate(SynthConfig(n_days=1000, seed=15, report_cadence=cadence))
+    assert len(ds.dates) == 1000
+    assert ds.usable_days == 0
+    planted = ds.sensors[:, SENSOR_FEATURES.index(SynthConfig.planted_feature)]
+    assert (planted == 0).all() or (planted >= 1).all()
+
+
+def test_draws_follow_the_documented_order():
+    # A scalar replay of generate's docstring: 10 days in blocks of 4, reports on days 3 and 7.
+    cfg = SynthConfig(n_days=10, seed=16, report_cadence=4, missing_sensor_rate=0.3,
+                      isolation_corr=correlated_block(0.5))
+    ds = generate(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    block = rng.random(3) < 0.5
+    sociable = rng.random((10, 6)) < 0.5
+    counts = rng.geometric(0.5, (10, 6))
+    missing = rng.random((10, 6)) < 0.3
+    z = rng.standard_normal((2, 10))
+    for i in range(10):
+        sociable[i, 0] = block[i // 4]
+        for j in range(6):
+            assert ds.sensors[i, j] == (NOT_MEASURED if missing[i, j] else counts[i, j] if sociable[i, j] else 0)
+    for row, i in enumerate((3, 7)):
+        corr, mean = ((cfg.sociability_corr, cfg.sociability_mean) if sociable[i, 0]
+                      else (cfg.isolation_corr, cfg.isolation_mean))
+        latent = np.asarray(mean) + synthgen._factor(np.asarray(corr)) @ z[row]
+        assert ds.ema[i].tolist() == discretize(latent).tolist()
+    assert sources(ds).count("reported") == 2
 
 
 def test_missing_rate_produces_missing_counts():
@@ -78,7 +140,7 @@ def test_cells_are_stored_as_floats():
     cfg = SynthConfig(n_days=1, context_mix=1, isolation_mean=[0] * 10, sociability_corr=np.eye(10))
     for value in (cfg.context_mix, *cfg.isolation_mean, *(v for row in cfg.sociability_corr for v in row)):
         assert type(value) is float
-    assert cfg.sociability_corr == correlated_block(0.0, ())
+    assert cfg.sociability_corr == tuple(tuple(float(i == j) for j in range(10)) for i in range(10))
 
 
 def test_discretize_thresholds_are_quartiles():
