@@ -165,7 +165,7 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_diffe
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: Path, stream_prefix: str = ""):
+def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: Path):
     """Full single-participant pipeline over one read of input_path; writes
     all artifacts into outdir. The seed, permutation count and sample size
     come from cfg; args gives --context, --subset, --emit-differences and
@@ -183,7 +183,7 @@ def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: 
     ema = ds.ema[:, items]
     result = run_paired(
         ema[pools["isolation"]], ema[pools["sociability"]], ema[baseline_pool(ds)], cfg,
-        child_rng(cfg.seed, stream_prefix + feature), child_rng(cfg.seed, stream_prefix + BASELINE),
+        child_rng(cfg.seed, feature), child_rng(cfg.seed, BASELINE),
         log_indices=args.verbose_indices,
     )
     ctx_run, base_run, _ = result
@@ -265,8 +265,7 @@ def cmd_cohort(args) -> int:
     for f in inputs:
         pid = f.stem
         try:
-            rows.append(_stats_row(f"{pid:10s}",
-                                   analyze_participant(args, cfg, f, outdir / pid, stream_prefix=pid + "/")[0]))
+            rows.append(_stats_row(f"{pid:10s}", analyze_participant(args, cfg, f, outdir / pid)[0]))
         except (OSError, UnicodeDecodeError, SchemaViolation, InsufficientPool) as exc:
             if isinstance(exc, OSError) and exc.filename != str(f):
                 raise  # a fault in writing outputs is the run's, not the participant's
@@ -286,7 +285,7 @@ def _synth_config_from_args(args) -> SynthConfig:
     keys = {}
     if args.config:
         try:
-            keys = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            keys = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidSynthConfig(str(exc)) from None
         except ValueError:  # an integer past sys.get_int_max_str_digits()

@@ -82,11 +82,12 @@ class TTest:
 
 
 def child_rng(master_seed: int, stream_id: str) -> np.random.Generator:
-    """Seeded generator for one named stream.
-
-    Streams are derived from the master seed plus a hash of the stream id, so
-    per-context runs are reproducible independently of the order (or
-    parallelism) in which contexts are analyzed.
+    """Seeded generator for one named stream, derived from the master seed
+    plus a hash of the stream id. Every run names its streams by its context
+    feature and by BASELINE alone, so its results depend only on the input
+    bytes and the flags: not on the order of contexts, the file's name or the
+    command. A cohort participant's outputs are analyze's on its file, byte
+    for byte.
     """
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
     salt = int.from_bytes(digest[:8], "big")

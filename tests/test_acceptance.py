@@ -32,7 +32,7 @@ def check(n, desc, cond, detail=""):
 
 def analyze_synthetic(ds, seed, items=ALL10, n_permutations=2000):
     """run_paired's (context_run, baseline_run, TTest) for the locations context,
-    drawn from the streams the CLI names for analyze."""
+    drawn from the streams the CLI names for every run."""
     pools, ema = categorize(ds, "locations_visited"), ds.ema[:, items]
     cfg = PermutationConfig(n_permutations=n_permutations, seed=seed)
     rngs = (child_rng(seed, "locations_visited"), child_rng(seed, "baseline"))

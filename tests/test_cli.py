@@ -138,7 +138,7 @@ class TestAnalyze:
         for name, digest in json.loads(manifest)["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         assert hashlib.sha256(manifest).hexdigest() == (
-            "729df6142b9c21aee2fcaea33e7fed90dc286e4eb042e6a367dbb20c48910c67"
+            "246ac37a6fd9455171ed71bc8cd50f7bc5b4ce02727adb6c65b93379875cec17"
         )
         assert capsys.readouterr().out == (out / "table.txt").read_text(encoding="utf-8")
 
@@ -165,9 +165,9 @@ PINNED_COHORT = [
 # sha256 of each participant's manifest.json, which holds the sha256 of its other
 # artifacts; a change that alters any output byte on purpose re-pins them here.
 COHORT_PINS = {
-    "p01": "bf1427237b8df83359c06abd400d17c412a7d764ebf0eee5c1e4f1efd9aed8bf",
-    "p02": "0b00167620f0d4d0435d1365ddaffe148ebc7c90048bf194dcc53d3189a6c205",
-    "p03": "455168d03942a99ee7a491dc869594f48b8a496306f04ae5a993c92cc9d89112",
+    "p01": "919bd2d3ee84d3b93d5e02c264271acc55698d2febdce7519b200412e65eafec",
+    "p02": "0c575afa5215f997513fb2d671c1c8c0613f5cb23dceb284ca19fa274940cdc4",
+    "p03": "e4c22235d2c3a46a940ca405affd2ffe26c958f39bc1af7960a56957551e4b93",
 }
 
 # Runs argv lists (argv[1], JSON) through main, then prints the sha256 of each
@@ -189,6 +189,15 @@ print(json.dumps({
                   for m in sorted(Path(sys.argv[2]).glob("*/manifest.json"))},
 }))
 """
+
+
+def _run_pinned_cohort(tmp_path):
+    """Run PINNED_COHORT under tmp_path; returns its input and output directories."""
+    indir, out = tmp_path / "cohort", tmp_path / "out"
+    indir.mkdir()
+    for argv in PINNED_COHORT:
+        assert main([a.format(indir=indir, out=out) for a in argv]) == 0
+    return indir, out
 
 
 def _simd_groups_found():
@@ -217,11 +226,7 @@ class TestCohort:
         capsys.readouterr()
 
     def test_whole_cohort_run_is_pinned(self, tmp_path, capsys):
-        # Cohort runs draw from per-participant streams ("p01/locations_visited", ...).
-        indir, out = tmp_path / "cohort", tmp_path / "out"
-        indir.mkdir()
-        for argv in PINNED_COHORT:
-            assert main([a.format(indir=indir, out=out) for a in argv]) == 0
+        indir, out = _run_pinned_cohort(tmp_path)
         digests = {}
         for pid in COHORT_PINS:
             manifest = (out / pid / "manifest.json").read_bytes()
@@ -229,6 +234,34 @@ class TestCohort:
                 assert hashlib.sha256((out / pid / name).read_bytes()).hexdigest() == digest, (pid, name)
             digests[pid] = hashlib.sha256(manifest).hexdigest()
         assert digests == COHORT_PINS
+        capsys.readouterr()
+
+    def test_each_participant_directory_is_the_analyze_run_of_its_file(self, tmp_path, capsys):
+        indir, out = _run_pinned_cohort(tmp_path)
+        for pid in COHORT_PINS:
+            alone = tmp_path / "analyze" / pid
+            flags = [a.format(out=alone) for a in PINNED_COHORT[-1][2:]]
+            assert main(["analyze", str(indir / f"{pid}.csv"), *flags]) == 0
+            names = sorted(p.name for p in (out / pid).iterdir())
+            assert names == sorted(p.name for p in alone.iterdir())
+            for name in names:  # manifest.json included
+                assert (out / pid / name).read_bytes() == (alone / name).read_bytes(), (pid, name)
+        capsys.readouterr()
+
+    def test_a_row_does_not_depend_on_the_file_name(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        assert main([a.format(indir=data) for a in PINNED_COHORT[0]]) == 0
+        rows = []
+        for name in ("p01", "renamed"):
+            indir, out = tmp_path / name, tmp_path / f"{name}_out"
+            indir.mkdir()
+            (indir / f"{name}.csv").write_bytes((data / "p01.csv").read_bytes())
+            assert main([a.format(indir=indir, out=out) for a in PINNED_COHORT[-1]]) == 0
+            row = (out / "cohort_table.txt").read_text(encoding="utf-8").splitlines()[2]
+            assert row.startswith(f"{name:10s}")
+            rows.append(row[10:])
+        assert rows[0] == rows[1]
         capsys.readouterr()
 
     def test_pins_hold_across_blas_and_simd_kernels(self, tmp_path):
@@ -338,6 +371,17 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "a.csv"), "--config", str(cfg_path), *flags]) == 0
         assert main(["synth", "--out", str(tmp_path / "b.csv"), "--cadence", "2", "--mix", "0.3", *flags]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        # Participant CSVs accept a UTF-8 byte-order mark; so does a config.
+        text = json.dumps({"n_days": 40, "seed": 9}).encode("utf-8")
+        (tmp_path / "plain.json").write_bytes(text)
+        (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + text)
+        for name in ("plain", "bom"):
+            config = str(tmp_path / f"{name}.json")
+            assert main(["synth", "--out", str(tmp_path / f"{name}.csv"), "--config", config]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize("r", ["0", "-0.0"])

@@ -49,7 +49,7 @@ def pools_for(ds):
 
 def paired(ds, cfg, pool=None, log_indices=False, items=ALL10):
     """run_paired on the items' scores of the locations context and the whole
-    baseline pool (or pool), from the streams the CLI names for an analyze run."""
+    baseline pool (or pool), from the streams the CLI names for every run."""
     pools, ema = pools_for(ds), ds.ema[:, items]
     pool = baseline_pool(ds) if pool is None else pool
     return run_paired(ema[pools["isolation"]], ema[pools["sociability"]], ema[pool], cfg,
