@@ -290,13 +290,13 @@ def format_participant(ds: ParticipantDataset) -> bytes:
     order, each line ending in CRLF. Only reported EMAs are written; backfilled
     copies are an analysis artifact and are reconstructed by backfill_emas on
     re-parse, so parse -> format -> parse round-trips exactly."""
-    lines = [_HEADER]
-    for date, scores, source, counts in zip(
-        ds.dates.tolist(), ds.ema.tolist(), ds.ema_source.tolist(), ds.sensors.tolist()
-    ):
-        ema_cells = scores if source == REPORTED else [""] * len(EMA_ITEMS)
-        lines.append(",".join(map(str, [date, *ema_cells, *("" if c == NOT_MEASURED else c for c in counts)])))
-    return ("\r\n".join(lines) + "\r\n").encode("ascii")
+    out = [(_HEADER + "\r\n").encode("ascii")]
+    for start in range(0, len(ds.dates), 4096):  # tolist() makes an object per cell: a slice at a time
+        rows = zip(*(a[start:start + 4096].tolist() for a in (ds.dates, ds.ema, ds.ema_source, ds.sensors)))
+        out.append("".join(",".join(map(str, [date, *(scores if source == REPORTED else [""] * len(EMA_ITEMS)),
+                                              *("" if c == NOT_MEASURED else c for c in counts)])) + "\r\n"
+                           for date, scores, source, counts in rows).encode("ascii"))
+    return b"".join(out)
 
 
 def backfill_emas(ds: ParticipantDataset) -> ParticipantDataset:

@@ -1,16 +1,17 @@
 """Synthetic participant generator with planted, known correlation structure.
 
 Days are assigned a category (isolation or sociability) per sensor feature.
-EMA scores come from a latent multivariate normal whose correlation matrix
-depends on the planted feature's category on the report day, discretized onto
-the 0-3 scale at standard-normal quartile boundaries (equiprobable levels).
-The discretization attenuates latent correlations; the test suite's oracle
+EMA scores are latent normals, correlated as the planted feature's category on
+the report day asks by its Cholesky factor, with no BLAS or LAPACK call, then
+cut at the standard-normal quartiles onto 0-3 (equiprobable levels). The
+discretization attenuates latent correlations; the test suite's oracle
 (tests/synth_oracle.py) prices that in exactly.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -42,12 +43,8 @@ def _real(value) -> float:
 
 def correlated_block(r: float) -> tuple:
     """Identity 10x10 target with correlation r among the positive items."""
-    m = [[1.0 if i == j else 0.0 for j in range(_N_ITEMS)] for i in range(_N_ITEMS)]
-    for i in POSITIVE_ONLY:
-        for j in POSITIVE_ONLY:
-            if i != j:
-                m[i][j] = r
-    return tuple(tuple(row) for row in m)
+    return tuple(tuple(1.0 if i == j else r if i in POSITIVE_ONLY and j in POSITIVE_ONLY else 0.0
+                       for j in range(_N_ITEMS)) for i in range(_N_ITEMS))
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,7 @@ class SynthConfig:
         if not 0.0 <= self.missing_sensor_rate <= 1.0:
             raise InvalidConfig("missing_sensor_rate must be in [0, 1]")
         for name in ("isolation_corr", "sociability_corr"):
-            try:
-                corr = np.asarray(getattr(self, name), dtype=float)
-            except ValueError:  # ragged rows
-                raise InvalidConfig(f"{name} must be {_N_ITEMS}x{_N_ITEMS}") from None
-            _validate_corr(corr, name)
+            _validate_corr(getattr(self, name), name)
         for name in ("isolation_mean", "sociability_mean"):
             if len(getattr(self, name)) != _N_ITEMS:
                 raise InvalidConfig(f"{name} must have {_N_ITEMS} entries")
@@ -110,29 +103,40 @@ class SynthConfig:
             raise InvalidConfig(f"{name} must be {shape}") from None
 
 
-def _validate_corr(m: np.ndarray, name: str) -> None:
-    if m.shape != (_N_ITEMS, _N_ITEMS):
+def _validate_corr(m: tuple, name: str) -> None:
+    if len(m) != _N_ITEMS or any(len(row) != _N_ITEMS for row in m):
         raise InvalidConfig(f"{name} must be {_N_ITEMS}x{_N_ITEMS}")
     if not np.isfinite(m).all():
         raise InvalidConfig(f"{name} entries must be finite")
-    if not np.allclose(m, m.T, atol=1e-12):
+    if not np.allclose(m, np.transpose(m), atol=1e-12):
         raise InvalidConfig(f"{name} must be symmetric")
     if not np.allclose(np.diag(m), 1.0, atol=1e-12):
         raise InvalidConfig(f"{name} must have unit diagonal")
-    if np.linalg.eigvalsh(m).min() < -1e-8:
-        raise InvalidConfig(f"{name} must be positive semidefinite")
+    _factor(m, name)
 
 
-def _factor(corr: np.ndarray) -> np.ndarray:
-    """The unique symmetric square root S of corr, so S @ S.T = corr.
-
-    S = V diag(sqrt(w)) V.T (Higham, Functions of Matrices, 2008, ch. 6) does
-    not depend on which orthonormal basis LAPACK returns inside a repeated
-    eigenspace, unlike V diag(sqrt(w)), so synthetic output is the same on
-    every BLAS/LAPACK build. Clipping w at 0 tolerates semidefinite targets.
-    """
-    w, v = np.linalg.eigh(corr)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+def _factor(corr: tuple, name: str) -> list:
+    """The lower-triangular Cholesky factor L of corr, L Lᵀ = corr (Cholesky-
+    Banachiewicz; Golub & Van Loan, Matrix Computations, 4th ed., §4.2): entry
+    (i, j) is corr[i][j] minus the sum of L[i][k]·L[j][k] over k < j, added left
+    to right, over L[j][j] if i > j. Only correctly rounded + - × ÷ and sqrt, so
+    the same bits on every IEEE 754 platform. InvalidConfig("<name> must be
+    positive semidefinite") for a pivot below -1e-8 (a larger one is clipped at
+    0), or for an entry more than 1e-8 from 0 below a root <= 1e-8 (set to 0)."""
+    L = [[0.0] * len(corr) for _ in corr]
+    for i, row in enumerate(L):
+        for j in range(i + 1):
+            total = 0.0
+            for k in range(j):
+                total += row[k] * L[j][k]
+            rest = corr[i][j] - total
+            if i == j and rest >= -1e-8:
+                row[j] = math.sqrt(max(rest, 0.0))
+            elif i > j and L[j][j] > 1e-8:
+                row[j] = rest / L[j][j]
+            elif i == j or not abs(rest) <= 1e-8:  # NaN, from an overflow, is refused too
+                raise InvalidConfig(f"{name} must be positive semidefinite")
+    return L
 
 
 def discretize(z: np.ndarray) -> np.ndarray:
@@ -152,8 +156,9 @@ def generate(cfg: SynthConfig) -> ParticipantDataset:
     3. a geometric(0.5) count per cell: sociable cells keep it (>= 1),
        isolated cells count 0;
     4. a uniform per cell; below missing_sensor_rate, the cell is NOT_MEASURED;
-    5. ten standard normals per report, made latent scores by the mean and
-       factor of the planted category on the report day, then discretized.
+    5. ten standard normals z per report, made latent scores by the mean and
+       Cholesky factor L of the planted category on the report day, item i as
+       mean_i + L[i][0]·z_0 + ... + L[i][i]·z_i left to right, then discretized.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n, mix = cfg.n_days, cfg.context_mix
@@ -166,15 +171,20 @@ def generate(cfg: SynthConfig) -> ParticipantDataset:
     sociable[:, planted] = block_sociable[day // cadence]
     sensors = np.where(sociable, rng.geometric(0.5, shape), 0)
     sensors[rng.random(shape) < cfg.missing_sensor_rate] = NOT_MEASURED
-    reports = day[day % cadence == cadence - 1]
+    reported = day % cadence == cadence - 1
+    reports = day[reported]
     z = rng.standard_normal((len(reports), _N_ITEMS))
-    latent = np.where(sociable[reports, planted, None],
-                      np.asarray(cfg.sociability_mean) + z @ _factor(np.asarray(cfg.sociability_corr)).T,
-                      np.asarray(cfg.isolation_mean) + z @ _factor(np.asarray(cfg.isolation_corr)).T)
     ema = np.zeros((n, _N_ITEMS), dtype=np.int8)
-    ema[reports] = discretize(latent)
-    ema_source = np.full(n, NO_EMA, dtype=np.int8)
-    ema_source[reports] = REPORTED
+    report_sociable = sociable[reports, planted]
+    for rows, corr, mean in ((~report_sociable, cfg.isolation_corr, cfg.isolation_mean),
+                             (report_sociable, cfg.sociability_corr, cfg.sociability_mean)):
+        days, zt = reports[rows], z[rows].T.copy()  # one contiguous row of zt per item
+        for i, factor_row in enumerate(_factor(corr, "corr")):
+            latent = mean[i] + factor_row[0] * zt[0]
+            for j in range(1, i + 1):
+                latent += factor_row[j] * zt[j]
+            ema[days, i] = discretize(latent)
+    ema_source = np.where(reported, REPORTED, NO_EMA).astype(np.int8)
     return ParticipantDataset(
         participant_id=f"synth-{cfg.seed}",
         dates=np.datetime64(START_DATE, "D") + day,

@@ -138,7 +138,7 @@ class TestAnalyze:
         for name, digest in json.loads(manifest)["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         assert hashlib.sha256(manifest).hexdigest() == (
-            "246ac37a6fd9455171ed71bc8cd50f7bc5b4ce02727adb6c65b93379875cec17"
+            "7db27ca55702a0f146e9838de385354537de74bf409590cc9a2cf24c5a1ae67a"
         )
         assert capsys.readouterr().out == (out / "table.txt").read_text(encoding="utf-8")
 
@@ -165,19 +165,26 @@ PINNED_COHORT = [
 # sha256 of each participant's manifest.json, which holds the sha256 of its other
 # artifacts; a change that alters any output byte on purpose re-pins them here.
 COHORT_PINS = {
-    "p01": "919bd2d3ee84d3b93d5e02c264271acc55698d2febdce7519b200412e65eafec",
-    "p02": "0c575afa5215f997513fb2d671c1c8c0613f5cb23dceb284ca19fa274940cdc4",
-    "p03": "e4c22235d2c3a46a940ca405affd2ffe26c958f39bc1af7960a56957551e4b93",
+    "p01": "352a963cd62414e841e19f2bf90cf98719d19dc620abfc7c4abdfd3c83aff2af",
+    "p02": "4408c6b115d99d93b6fb02d6336a5d03d294a8d851775620f37f785c7443eb94",
+    "p03": "3f295d6f9f46c63464c2dfa278bec0a48853959a8b7fcd2e51daf1dec6dd483a",
+}
+
+# sha256 of synth's Cholesky factor of correlated_block(r), as little-endian float64s.
+FACTOR_PINS = {
+    "0.6": "c6c79b669b7caa7e3ec6970e44a3b77e045efbad0d44e75f2d5be7670a358057",
+    "0.3": "3fa9edc944da72b2dd91faf11e99a137ce143531200e6609fe9a72e60ea36af1",
 }
 
 # Runs argv lists (argv[1], JSON) through main, then prints the sha256 of each
-# manifest.json under argv[2] and of a 300x300 float GEMM, whose bits show
-# which BLAS kernel ran.
+# manifest.json under argv[2], of each FACTOR_PINS factor, and of a 300x300
+# float GEMM, whose bits show which BLAS kernel ran.
 PINNED_COHORT_CHILD = """
 import contextlib, hashlib, json, sys
 from pathlib import Path
 import numpy as np
 from emanet.cli import main
+from emanet.synthgen import _factor, correlated_block
 with contextlib.redirect_stdout(sys.stderr):
     for argv in json.loads(sys.argv[1]):
         if main(argv) != 0:
@@ -185,6 +192,8 @@ with contextlib.redirect_stdout(sys.stderr):
 a = np.random.default_rng(0).standard_normal((300, 300))
 print(json.dumps({
     "gemm": hashlib.sha256((a @ a).tobytes()).hexdigest(),
+    "factors": {r: hashlib.sha256(np.asarray(_factor(correlated_block(float(r)), "corr"), "<f8").tobytes()).hexdigest()
+                for r in ("0.6", "0.3")},
     "manifests": {m.parent.name: hashlib.sha256(m.read_bytes()).hexdigest()
                   for m in sorted(Path(sys.argv[2]).glob("*/manifest.json"))},
 }))
@@ -283,6 +292,7 @@ class TestCohort:
             assert child.returncode == 0, (setting, child.stderr)
             report = json.loads(child.stdout)
             assert report["manifests"] == COHORT_PINS, setting
+            assert report["factors"] == FACTOR_PINS, setting
             gemms.append(report["gemm"])
         if len(set(gemms[: 1 + len(core_types)])) == 1:  # the default kernel and each core type
             pytest.skip("OPENBLAS_CORETYPE changed no GEMM bit: this BLAS build runs one kernel, so none was varied")
@@ -416,7 +426,7 @@ class TestExportNetwork:
         assert len(net["items"]) == 10
 
     @pytest.mark.parametrize("flags, digest", [
-        (["--context", "baseline"], "099a23f733de78068759d2c093def55736e906a04eb7aa6547e78c51718f5fe4"),
+        (["--context", "baseline"], "6657e7dd1795ad0571fd085f04351e5c3e5d1cf9a23907abd233753b7ea9b5d6"),
         (["--context", "locations", "--category", "sociability", "--subset", "negative"],
          "a0307581eb8c6bca1d8cd5a1014071027321a957421521b5cc31ebb2ddb35042"),
     ], ids=["baseline", "locations-sociability-negative"])

@@ -1,6 +1,12 @@
+import ast
+import math
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emanet import synthgen
 from daytable import assert_same, sources
@@ -94,8 +100,14 @@ def test_draws_follow_the_documented_order():
     for row, i in enumerate((3, 7)):
         corr, mean = ((cfg.sociability_corr, cfg.sociability_mean) if sociable[i, 0]
                       else (cfg.isolation_corr, cfg.isolation_mean))
-        latent = np.asarray(mean) + synthgen._factor(np.asarray(corr)) @ z[row]
-        assert ds.ema[i].tolist() == discretize(latent).tolist()
+        factor = synthgen._factor(corr, "corr")
+        latent = []
+        for item in range(10):  # mean, then each factor term, left to right
+            value = mean[item]
+            for j in range(item + 1):
+                value += factor[item][j] * z[row, j]
+            latent.append(value)
+        assert ds.ema[i].tolist() == discretize(np.array(latent)).tolist()
     assert sources(ds).count("reported") == 2
 
 
@@ -234,45 +246,94 @@ def test_empirical_correlation_matches_targets():
         assert np.max(np.abs(emp_soc - target_soc)) < 0.02
 
 
-def _rotating_eigh(seed):
-    """An eigh that returns another valid basis inside every repeated eigenspace.
-
-    LAPACK may return any orthonormal basis of a repeated eigenvalue's
-    eigenspace; this wrapper applies a seeded random rotation there, so the
-    output stands for a different (equally correct) LAPACK build.
-    """
-    original = np.linalg.eigh
-    rng = np.random.default_rng(seed)
-
-    def eigh(a, *args, **kwargs):
-        w, v = original(a, *args, **kwargs)
-        v = v.copy()
-        start = 0
-        for end in range(1, len(w) + 1):
-            if end == len(w) or w[end] - w[start] > 1e-9:
-                if end - start > 1:
-                    q, _ = np.linalg.qr(rng.standard_normal((end - start, end - start)))
-                    v[:, start:end] = v[:, start:end] @ q
-                start = end
-        return w, v
-
-    return eigh
+def test_synthgen_calls_no_blas_or_lapack():
+    # No matrix product and no numpy.linalg, so synth's bytes do not depend on the BLAS or LAPACK build.
+    banned = {"linalg", "dot", "matmul", "einsum"}
+    found = []
+    for node in ast.walk(ast.parse(Path(synthgen.__file__).read_text(encoding="utf-8"))):
+        words = ({node.attr} if isinstance(node, ast.Attribute) else {node.id} if isinstance(node, ast.Name)
+                 else set(node.name.split(".")) if isinstance(node, ast.alias)
+                 else set((node.module or "").split(".")) if isinstance(node, ast.ImportFrom) else set())
+        if isinstance(node, ast.MatMult) or words & banned:
+            found.append(ast.unparse(node) if isinstance(node, ast.expr) else ast.dump(node))
+    assert found == []
 
 
-class TestEigenbasisIndependence:
-    def test_generate_ignores_eigenbasis(self, monkeypatch):
-        cfg = SynthConfig(n_days=300, seed=100, isolation_corr=correlated_block(0.6))
-        expected = generate(cfg)
-        monkeypatch.setattr(synthgen.np.linalg, "eigh", _rotating_eigh(1))
-        assert_same(generate(cfg), expected)
+def _mp_cholesky(corr):
+    """Cholesky-Banachiewicz of corr at 50 digits, 0 below a zero pivot, each entry rounded to a float."""
+    with mpmath.workdps(50):
+        a = [[mpmath.mpf(x) for x in row] for row in corr]
+        L = [[mpmath.mpf(0)] * len(a) for _ in a]
+        for i in range(len(a)):
+            for j in range(i + 1):
+                rest = a[i][j] - mpmath.fsum(L[i][k] * L[j][k] for k in range(j))
+                if i == j:
+                    L[i][i] = mpmath.sqrt(rest)
+                elif L[j][j] != 0:
+                    L[i][j] = rest / L[j][j]
+        return [[float(x) for x in row] for row in L]
 
-    def test_discretized_correlation_ignores_eigenbasis(self, monkeypatch):
-        target = correlated_block(0.6)
-        expected = discretized_correlation(target, (0.0,) * 10)
-        monkeypatch.setattr(synthgen.np.linalg, "eigh", _rotating_eigh(2))
-        assert np.array_equal(discretized_correlation(target, (0.0,) * 10), expected)
+
+def _symmetric(cells):
+    """The 10x10 unit-diagonal target whose upper triangle is cells, row by row."""
+    m = np.eye(10)
+    m[np.triu_indices(10, 1)] = cells
+    return tuple(map(tuple, (np.triu(m, 1).T + np.triu(m)).tolist()))
+
+
+@st.composite
+def _targets(draw):
+    """Finite symmetric unit-diagonal 10x10 targets: normalized Gram matrices of
+    vectors in 1-10 dimensions (semidefinite, singular below 10), shrunk towards
+    the identity by a weight w (eigenvalues >= w), or arbitrary cells."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 10))
+        v = np.array(draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim), min_size=10, max_size=10)))
+        v[np.abs(v).max(axis=1) < 1e-100, 0] = 1.0  # no zero vector
+        u = v / np.sqrt((v * v).sum(axis=1))[:, None]
+        w = draw(st.sampled_from([0.0, 1e-3]) | st.floats(0, 1))
+        return _symmetric((1 - w) * (u @ u.T)[np.triu_indices(10, 1)])
+    cells = st.floats(-1, 1) | st.floats(allow_nan=False, allow_infinity=False)
+    return _symmetric(draw(st.lists(cells, min_size=45, max_size=45)))
+
+
+class TestFactor:
+    @pytest.mark.parametrize("r", [-0.2, 0.3, 0.6, 1.0])
+    def test_matches_mpmath(self, r):
+        factor, reference = synthgen._factor(correlated_block(r), "corr"), _mp_cholesky(correlated_block(r))
+        for row, ref_row in zip(factor, reference):
+            for value, ref in zip(row, ref_row):
+                assert abs(value - ref) <= 2 * math.ulp(ref), (r, value, ref)  # and a zero of ref is exactly 0
 
     def test_factor_of_semidefinite_target(self):
         c = np.asarray(correlated_block(1.0))
-        l = synthgen._factor(c)
+        l = np.array(synthgen._factor(correlated_block(1.0), "corr"))
+        assert (np.triu(l, 1) == 0).all()
+        assert l[POSITIVE_ONLY, POSITIVE_ONLY[0]].tolist() == [1.0] * len(POSITIVE_ONLY)
         np.testing.assert_allclose(l @ l.T, c, rtol=0, atol=1e-12)
+
+    def test_refuses_an_entry_left_below_a_zero_pivot(self):
+        # Items 0 and 1 are one variable, so the second pivot is 0; item 2 cannot correlate +0.9
+        # with one and -0.9 with the other (an eigenvalue of -0.87), and zeroing the entry would hide it.
+        m = np.eye(10)
+        m[:3, :3] = [[1.0, 1.0, 0.9], [1.0, 1.0, -0.9], [0.9, -0.9, 1.0]]
+        with pytest.raises(InvalidConfig, match="^corr must be positive semidefinite$"):
+            synthgen._factor(tuple(map(tuple, m)), "corr")
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(target=_targets())
+    def test_refuses_or_factors_within_the_tolerance(self, target):
+        # A factor differs from its target only by what the 1e-8 tolerance absorbs: a clipped
+        # pivot or a zeroed entry, each at most 1e-8; with no eigenvalue near 0, by rounding alone.
+        lowest = np.linalg.eigvalsh(target).min()
+        try:
+            l = np.array(synthgen._factor(target, "corr"))
+        except InvalidConfig:
+            assert lowest < 1e-10
+            return
+        assert lowest >= -1e-7 - 1e-12  # so every target with an eigenvalue below -1e-6 is refused
+        assert np.isfinite(l).all() and (np.triu(l, 1) == 0).all()
+        error = np.abs(l @ l.T - target).max()
+        assert error <= 1e-8 + 1e-12
+        if lowest > 1e-10:
+            assert error <= 1e-12
