@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,13 @@ def render_table(participant_id: str, feature: str, subset_flag: str, result) ->
     return f"Participant: {participant_id}\n\n" + _stats_table(16, "", feature, [row], notes)
 
 
+def _json_list(items: list, depth: int) -> str:
+    """items, each JSON text, joined as json.dumps(indent=2) lays out a list at depth. run.json's flagged
+    arrays are laid out by it: with an indent, json.dumps runs its pure-Python encoder."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+
 def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_differences, verbose_indices):
     payload = {
         "participant_id": participant_id,
@@ -158,11 +166,19 @@ def _run_json(participant_id, feature, subset_flag, cfg, run, result, emit_diffe
             "baseline": {"mean": base.mean, "std": base.std},
             "context": {"mean": ctx.mean, "std": ctx.std},
         }
-    if emit_differences:
-        payload["differences"] = list(run.differences)
-    if verbose_indices:
-        payload["sampled_indices"] = [[list(a), list(b)] for a, b in run.sampled_indices]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    arrays, pairs = {}, run.sampled_indices
+    if emit_differences:  # float.__repr__, as json writes a float; nan and inf are respelled below
+        arrays["differences"] = _json_list(list(map(float.__repr__, run.differences)), 1)
+    if verbose_indices:  # one row template of %d fields, filled by one %
+        lens = list(map(len, chain.from_iterable(pairs)))
+        assert lens == lens[:2] * len(pairs), "every (a, b) pair has one shape, as run_paired draws them"
+        row = _json_list([_json_list(["%d"] * n, 3) for n in lens[:2]], 2)
+        arrays["sampled_indices"] = _json_list([row] * len(pairs), 1) % tuple(chain.from_iterable(chain(*pairs)))
+    text = json.dumps(payload | dict.fromkeys(arrays, "\0"), sort_keys=True, indent=2)
+    for key, value in arrays.items():  # the one "<key>": "\u0000", for json escapes every " in an id
+        value = value.replace("nan", "NaN").replace("inf", "Infinity")  # as json spells them
+        text = text.replace(f'"{key}": "\\u0000"', f'"{key}": {value}', 1)
+    return text + "\n"
 
 
 def analyze_participant(args, cfg: PermutationConfig, input_path: Path, outdir: Path):

@@ -108,9 +108,9 @@ def _validate_corr(m: tuple, name: str) -> None:
         raise InvalidConfig(f"{name} must be {_N_ITEMS}x{_N_ITEMS}")
     if not np.isfinite(m).all():
         raise InvalidConfig(f"{name} entries must be finite")
-    if not np.allclose(m, np.transpose(m), atol=1e-12):
+    if not np.allclose(m, np.transpose(m), rtol=0, atol=1e-12):
         raise InvalidConfig(f"{name} must be symmetric")
-    if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+    if not np.allclose(np.diag(m), 1.0, rtol=0, atol=1e-12):
         raise InvalidConfig(f"{name} must have unit diagonal")
     _factor(m, name)
 

@@ -4,6 +4,7 @@ import collections
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emanet import cli
 from emanet.cli import _run_json, build_parser, histogram_csv, main, render_table, significance_marker
@@ -775,3 +778,73 @@ class TestHelpers:
             rows = [[float(cell) for cell in line.split(",")] for line in lines]
             assert [sum(row[2] for row in rows), sum(row[3] for row in rows)] == [len(baseline), len(context)]
             assert rows[-1][1] >= max(baseline + context)
+
+
+def _json_dumps_run_json(participant_id, feature, subset_flag, cfg, run, result, emit_differences, verbose_indices):
+    """The oracle: run.json as the whole payload through json.dumps, as cli wrote it before it joined the
+    flagged arrays itself."""
+    payload = {
+        "participant_id": participant_id,
+        "context": feature,
+        "subset": subset_flag,
+        "config": {
+            "n_permutations": cfg.n_permutations,
+            "sample_size": cfg.sample_size,
+            "sampler": cli.SAMPLER,
+            "seed": cfg.seed,
+            "subset": subset_flag,
+        },
+        "stats": {"mean": run.mean, "std": run.std},
+    }
+    if result is not None:
+        ctx, base, test = result
+        payload["comparison"] = {
+            "t_score": cli._t_cell(t) if math.isinf(t := test.t_score) else t,
+            "p_value": cli.machine_p(test.p_value),
+            "df": test.df,
+            "baseline": {"mean": base.mean, "std": base.std},
+            "context": {"mean": ctx.mean, "std": ctx.std},
+        }
+    if emit_differences:
+        payload["differences"] = list(run.differences)
+    if verbose_indices:
+        payload["sampled_indices"] = [[list(a), list(b)] for a, b in run.sampled_indices]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2])
+# Ids that json escapes (", \, non-ASCII, NUL) and ids spelling a placeholder's text.
+IDS = st.sampled_from(['p"01', "p\\01", "pé01", "参加者", "\0", 'differences": "\\u0000', 'sampled_indices": "\0',
+                       '"differences": "\\u0000"']) | st.text(max_size=12)
+# (a, b) pairs of sample positions, each side a fixed length >= 2 within a run, as PermutationConfig allows.
+PAIRS = st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(lambda k: st.lists(
+    st.tuples(*(st.lists(st.integers(0, 10**6), min_size=n, max_size=n).map(tuple) for n in k)), max_size=30))
+
+
+class TestRunJson:
+    @pytest.mark.parametrize("context", [True, False], ids=["context", "baseline"])
+    @pytest.mark.parametrize("emit_differences, verbose_indices", [(False, False), (True, False), (False, True),
+                                                                   (True, True)])
+    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @given(pid=IDS, differences=st.lists(FINITE, max_size=30), pairs=PAIRS, stat=FINITE,
+           t=FINITE | st.sampled_from([math.inf, -math.inf]), p=st.floats(0.0, 1.0))
+    def test_equals_json_dumps_of_the_whole_payload(self, context, emit_differences, verbose_indices, pid,
+                                                    differences, pairs, stat, t, p):
+        run = PermutationRun(tuple(differences), stat, abs(stat), tuple(pairs) if verbose_indices else None)
+        result = (run, run, TTest(t_score=t, p_value=p, df=max(len(differences), 2) - 1)) if context else None
+        feature = "locations_visited" if context else "baseline"
+        args = (pid, feature, "negative", PermutationConfig(n_permutations=30, sample_size=3, seed=7), run, result,
+                emit_differences, verbose_indices)
+        assert _run_json(*args) == _json_dumps_run_json(*args)
+
+    def test_non_finite_differences_are_spelled_as_json_spells_them(self):
+        run = PermutationRun((math.nan, math.inf, -math.inf, -0.0, 1e-7), math.nan, math.nan, None)
+        args = ("pinf", "baseline", "all", PermutationConfig(n_permutations=5), run, None, True, False)
+        text = _run_json(*args)
+        assert text == _json_dumps_run_json(*args)
+        assert '"differences": [\n    NaN,\n    Infinity,\n    -Infinity,\n    -0.0,\n    1e-07\n  ],' in text
+
+    def test_index_pairs_of_mixed_shapes_are_refused(self):
+        run = PermutationRun((0.0, 0.0), 0.0, 0.0, (((1, 2), (3, 4)), ((1, 2, 3), (4,))))
+        with pytest.raises(AssertionError, match="one shape"):
+            _run_json("p01", "baseline", "all", PermutationConfig(n_permutations=2), run, None, False, True)

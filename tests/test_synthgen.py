@@ -131,6 +131,30 @@ def test_invalid_configs():
         SynthConfig(n_days=10, context_mix=1.5)
 
 
+def _identity_with(cells) -> list:
+    m = [[float(i == j) for j in range(10)] for i in range(10)]
+    for i, j, value in cells:
+        m[i][j] = value
+    return m
+
+
+@pytest.mark.parametrize("cells, message", [
+    (((0, 1, 0.5), (1, 0, 0.500004)), "isolation_corr must be symmetric"),
+    (((0, 0, 1.000009),), "isolation_corr must have unit diagonal"),
+    (((1, 1, 0.99999),), "isolation_corr must have unit diagonal"),
+], ids=["asymmetric", "diagonal-above-1", "diagonal-below-1"])
+def test_symmetry_and_unit_diagonal_have_no_relative_tolerance(cells, message):
+    # Each cell is within np.allclose's default rtol=1e-5 of its target but far beyond atol=1e-12.
+    with pytest.raises(InvalidConfig) as excinfo:
+        SynthConfig(n_days=10, isolation_corr=_identity_with(cells))
+    assert str(excinfo.value) == message
+
+
+def test_symmetry_and_unit_diagonal_accept_cells_within_1e_12():
+    cfg = SynthConfig(n_days=10, isolation_corr=_identity_with([(0, 1, 0.5), (1, 0, 0.5 + 5e-13), (2, 2, 1 - 5e-13)]))
+    assert cfg.isolation_corr[1][0] == 0.5 + 5e-13
+
+
 IDENTITY_OF_BOOLS = tuple(tuple(i == j for j in range(10)) for i in range(10))
 
 
